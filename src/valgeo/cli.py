@@ -7,9 +7,6 @@ components first, then value(s), then an error estimate when a float path
 was used (for moments this is the observed gap between the divided-
 difference value and an independent profile quadrature, plus the
 quadrature's own estimate).
-
-VALGEO_THREADS caps the evaluation pool for direction grids (default 1);
-rows are always written in grid order.
 """
 
 from __future__ import annotations
@@ -17,9 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .geometry.linalg import as_scalar, as_vector, format_scalar
@@ -29,7 +24,7 @@ from .harness.suites import SUITES, run_suite
 from .slicing.moments import measure_transform, moment_transform
 from .slicing.profile import quadrature_against_profile, section_profile
 from .slicing.weights import weight_from_dict, measure_from_dict
-from .valuations import BODY_KINDS, classified_evaluate, expr_from_dict
+from .valuations import BODY_KINDS, BODY_KINDS_WITH_P, classified_evaluate, expr_from_dict
 from . import __version__
 
 
@@ -97,14 +92,6 @@ def _format_value(v) -> str:
     if isinstance(v, Fraction):
         return format_scalar(v)
     return repr(float(v))
-
-
-def _pool_map(fn, items):
-    threads = int(os.environ.get("VALGEO_THREADS", "1") or "1")
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit_rows(header, rows, fmt, out):
@@ -201,7 +188,7 @@ def cmd_moment(args, out) -> int:
                 err = repr(abs(float(val) - qval) + qerr)
             return [_format_value(c) for c in x] + [_format_value(val), err]
 
-    rows = _pool_map(one, dirs)
+    rows = [one(x) for x in dirs]
     header = tuple(f"x{i+1}" for i in range(P.n)) + ("value", "error")
     _emit_rows(header, rows, args.format, out)
     return 0
@@ -214,6 +201,8 @@ def cmd_body(args, out) -> int:
     if kind not in BODY_KINDS:
         raise SystemExit(f"unknown body kind {kind!r}; "
                          f"choose from {sorted(BODY_KINDS)}")
+    if kind in BODY_KINDS_WITH_P and args.p is None:
+        raise SystemExit(f"body {kind} needs --p")
     dirs = _parse_grid(args.grid, P.n, args.radii)
     p = as_scalar(args.p) if args.p is not None else None
 
@@ -221,7 +210,7 @@ def cmd_body(args, out) -> int:
         val = BODY_KINDS[args.kind](P, x, p)
         return [_format_value(c) for c in x] + [_format_value(val)]
 
-    rows = _pool_map(one, dirs)
+    rows = [one(x) for x in dirs]
     header = tuple(f"x{i+1}" for i in range(P.n)) + ("value",)
     _emit_rows(header, rows, args.format, out)
     return 0
@@ -236,7 +225,7 @@ def cmd_eval(args, out) -> int:
         val = classified_evaluate(P, x, expr)
         return [_format_value(c) for c in x] + [_format_value(val)]
 
-    rows = _pool_map(one, dirs)
+    rows = [one(x) for x in dirs]
     header = tuple(f"x{i+1}" for i in range(P.n)) + ("value",)
     _emit_rows(header, rows, args.format, out)
     return 0
@@ -303,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("kind_pos", nargs="?", default=None, metavar="KIND")
     p.add_argument("--kind", default=None)
-    p.add_argument("--p", default=None, help="body exponent where applicable")
+    p.add_argument("--p", default=None, help="body exponent; required for moment, "
+                        "polar_moment and difference")
     p.set_defaults(fn=cmd_body)
 
     p = sub.add_parser("eval", help="evaluate a valuation expression")

@@ -66,10 +66,16 @@ def _to_mpf(z):
     return mpf(z)
 
 
+def _gap(a, b):
+    """b - a as an mpf; Fraction nodes are subtracted exactly, then rounded."""
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return _to_mpf(b - a)
+    return _to_mpf(b) - _to_mpf(a)
+
+
 def dd_mpf(nodes, value_fn):
     """Divided difference over sorted nodes (Fractions or floats), mpf values."""
     m = len(nodes)
-    float_nodes = [_to_mpf(z) for z in nodes]
     cur = [value_fn(z, 0) for z in nodes]
     for level in range(1, m):
         nxt = []
@@ -78,8 +84,7 @@ def dd_mpf(nodes, value_fn):
             if nodes[i + level] == nodes[i]:
                 nxt.append(value_fn(nodes[i], level) / fact)
             else:
-                nxt.append((cur[i + 1] - cur[i]) /
-                           (float_nodes[i + level] - float_nodes[i]))
+                nxt.append((cur[i + 1] - cur[i]) / _gap(nodes[i], nodes[i + level]))
         cur = nxt
     return cur[0]
 

@@ -1,10 +1,11 @@
 """Weighted moment transforms M_zeta P(x) = integral_P zeta(x.y) dy.
 
 Exact weights ride the rational divided-difference path per simplex of a
-pulling triangulation; float weights (real exponents, exp, log) go through
-high-precision divided differences after every simplex is pre-cut by the
-zero-height hyperplane, so each integration cell sees a single-signed,
-smooth weight branch.
+pulling triangulation.  Float weights (real exponents, exp, log) take one
+high-precision divided difference per simplex of a single antiderivative
+defined on all of R: its (n-1)-st derivative is absolutely continuous across
+height 0, so a simplex straddling 0 needs no cut.  The precision is read
+from the exact gaps between the rational vertex heights.
 
 The same machinery evaluates the section-measure transform
 
@@ -23,7 +24,7 @@ from fractions import Fraction
 from mpmath import mp, mpf, exp as mpexp, log as mplog, power as mppower
 
 from ..geometry.linalg import as_vector, is_zero_vector, vdot, vneg
-from ..geometry.polytope import Polytope, convex_hull, cut, simplex_volume, volume
+from ..geometry.polytope import Polytope, simplex_volume, volume
 from .divdiff import FLOAT_DPS, dd_fraction, dd_mpf, _to_mpf
 from .profile import section_profile
 from .weights import MeasureSpec, WeightSpec
@@ -38,11 +39,13 @@ def _harmonic(k: int) -> mpf:
     return _to_mpf(sum(Fraction(1, i) for i in range(1, k + 1)))
 
 
-def _float_antideriv(weight: WeightSpec, m: int, branch: int):
+def _float_antideriv(weight: WeightSpec, m: int):
     """(t, order) -> F^(order)(t) where F is an m-th antiderivative of zeta.
 
-    ``branch`` is +1 when every node is >= 0 and -1 when every node is <= 0;
-    the returned callable is only valid on that closed half-line.
+    One F serves all of R: for every float kind F^(m-1) is absolutely
+    continuous across 0, which is all the divided-difference identity needs.
+    Height 0 is a node at most m times on a full-dimensional simplex, so
+    every requested order has k = m - order >= 1 and F^(order)(0) = 0.
     """
     kind = weight.kind
     if kind == "exp_neg":
@@ -52,39 +55,52 @@ def _float_antideriv(weight: WeightSpec, m: int, branch: int):
 
     if kind in ("abs_power", "signed_power"):
         p = mpf(float(weight.p))
-        active = True
         if kind == "signed_power":
-            want_pos = (weight.side == "pos")
-            active = (branch > 0) == want_pos
-        if not active:
-            return lambda t, order: mpf(0)
+            active = (1,) if weight.side == "pos" else (-1,)
+        else:
+            active = (1, -1)
 
         def f(t, order):
+            sign = (t > 0) - (t < 0)
+            if sign not in active:
+                return mpf(0)
             k = m - order
-            s = _to_mpf(t) if branch > 0 else -_to_mpf(t)
             denom = mpf(1)
             for i in range(1, k + 1):
                 denom *= p + i
-            if s == 0:
-                return mpf(0)  # p + k > 0 for every requested order
-            val = mppower(s, p + k) / denom
-            return val if branch > 0 else (-1) ** k * val
+            val = mppower(abs(_to_mpf(t)), p + k) / denom
+            return val if sign > 0 else (-1) ** k * val
         return f
 
     if kind == "log_abs":
         def f(t, order):
-            k = m - order
-            s = _to_mpf(t) if branch > 0 else -_to_mpf(t)
-            if s == 0:
+            if t == 0:
                 return mpf(0)
+            k = m - order
+            s = abs(_to_mpf(t))
             val = mppower(s, k) * (mplog(s) - _harmonic(k)) / math.factorial(k)
-            return val if branch > 0 else (-1) ** k * val
+            return val if t > 0 else (-1) ** k * val
         return f
 
     raise ValueError(f"no float antiderivative for weight kind {kind!r}")
 
 
-_NEEDS_ZERO_SPLIT = ("abs_power", "signed_power", "log_abs")
+def _working_dps(nodes) -> int:
+    """Digits for a float divided difference over sorted nodes.
+
+    Each of the len(nodes) - 1 levels can lose up to log10(R / g) digits to
+    cancellation, where g is the smallest positive gap between the exact
+    nodes and R the larger of their span and magnitude.  FLOAT_DPS carries
+    25 digits of headroom over double precision; beyond that loss the
+    precision is raised by the excess.
+    """
+    gaps = [b - a for a, b in zip(nodes, nodes[1:]) if b != a]
+    if not gaps:
+        return FLOAT_DPS
+    reach = max(nodes[-1] - nodes[0], abs(nodes[0]), abs(nodes[-1]))
+    ratio = Fraction(reach) / Fraction(min(gaps))
+    digits = math.ceil(math.log10(ratio.numerator) - math.log10(ratio.denominator))
+    return FLOAT_DPS + max(0, (len(nodes) - 1) * digits - 25)
 
 
 # -- simplex and polytope transforms -------------------------------------------
@@ -93,9 +109,11 @@ _NEEDS_ZERO_SPLIT = ("abs_power", "signed_power", "log_abs")
 def simplex_moment(vertices, x, weight: WeightSpec):
     """integral over the simplex [vertices] of zeta(x.y) dy, full-dimensional.
 
-    Exact rational for exact-path weights; float via high-precision divided
-    differences otherwise (with the zero-height split applied by the caller
-    for the singular kinds).
+    Exact rational for exact-path weights.  Float weights take one mpmath
+    divided difference of a single antiderivative over the vertex heights,
+    also when they straddle 0; the precision is 45 digits, raised by
+    ``_working_dps`` from the exact node gaps when the heights nearly
+    coincide.
     """
     x = as_vector(x)
     n = len(x)
@@ -113,38 +131,14 @@ def simplex_moment(vertices, x, weight: WeightSpec):
     if weight.is_exact:
         F = weight.exact_pieces().antiderivative_order(n)
         return scale * dd_fraction(nodes, F.deriv_value)
-    with mp.workdps(FLOAT_DPS):
-        if weight.kind in _NEEDS_ZERO_SPLIT and nodes[0] < 0 < nodes[-1]:
-            total = mpf(0)
-            for cell_nodes, cell_vol, branch in _zero_split(vertices, x):
-                f = _float_antideriv(weight, n, branch)
-                total += mpf(math.factorial(n)) * _to_mpf(cell_vol) * \
-                    dd_mpf(cell_nodes, f)
-            return float(total)
-        branch = 1 if nodes[-1] > 0 else -1
-        f = _float_antideriv(weight, n, branch)
+    with mp.workdps(_working_dps(nodes)):
+        f = _float_antideriv(weight, n)
         return float(_to_mpf(scale) * dd_mpf(nodes, f))
 
 
 def _unreflected(weight: WeightSpec) -> WeightSpec:
     from dataclasses import replace
     return replace(weight, reflect=False)
-
-
-def _zero_split(vertices, x):
-    """Cells of the simplex split by {x.y = 0}: (nodes, volume, branch)."""
-    simplex = convex_hull(list(vertices))
-    minus, plus, _ = cut(simplex, x, 0)
-    out = []
-    for piece, branch in ((minus, -1), (plus, +1)):
-        if piece is None or not piece.is_full_dimensional:
-            continue
-        rel = piece.rel_vertices()
-        for cell in piece.triangulation():
-            vol = simplex_volume([rel[i] for i in cell])
-            nodes = sorted(vdot(x, piece.vertices[i]) for i in cell)
-            out.append((nodes, vol, branch))
-    return out
 
 
 def moment_transform(P: Polytope, x, weight: WeightSpec):

@@ -141,6 +141,7 @@ BODY_KINDS = {
     "laplace": lambda P, x, p: laplace_body_value(P, x),
     "difference": lambda P, x, p: difference_body_support(P, x, p),
 }
+BODY_KINDS_WITH_P = frozenset({"moment", "polar_moment", "difference"})
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,12 @@ def test_body_and_eval_commands(t3_file, tmp_path):
     assert all(line.endswith(",1/6") for line in lines[1:])
 
 
+@pytest.mark.parametrize("kind", ["moment", "polar_moment", "difference"])
+def test_body_without_p_is_rejected(t3_file, kind):
+    with pytest.raises(SystemExit, match="--p"):
+        run_cli(["body", kind, "--input", t3_file, "--grid", "axes"])
+
+
 def test_grid_options(t3_file):
     code, out = run_cli(["moment", "--input", t3_file,
                          "--weight", '{"kind":"power","p":0}',

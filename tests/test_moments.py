@@ -158,12 +158,49 @@ def test_reflected_weight_equals_negated_direction():
         moment_transform(P, tuple(-c for c in x), zeta)
 
 
-def test_float_weights_straddling_zero_split():
-    # the split-at-zero path: simplex straddling the zero level of x
+@pytest.mark.parametrize("weight, expected", [
+    # int_{-1}^{1} zeta(t) (1 - |t|) dt over the triangle's sections
+    (W.abs_power(0.5), 8 / 15),                       # 2 (2/3 - 2/5)
+    (W.signed_power(0.5, "pos"), 4 / 15),
+    (W.signed_power(0.5, "neg"), 4 / 15),
+    (W.signed_power(0.5, "pos", reflect=True), 4 / 15),
+    (W.log_abs(), -3 / 2),                            # 2 (-1 + 1/4)
+    (W.abs_power(-0.5), 8 / 3),                       # 2 (2 - 2/3)
+], ids=["abs_power", "signed_pos", "signed_neg", "signed_pos_reflected",
+        "log_abs", "abs_power_neg"])
+def test_float_weights_across_height_zero(weight, expected):
+    # one simplex straddling the zero level of x, integrated in one piece
     S = convex_hull([(-1, 0), (1, 0), (0, 1)])
-    val = moment_transform(S, (1, 0), W.abs_power(0.5))
-    # oracle: int_{-1}^{1} |t|^{1/2} (1 - |t|) dt = 2 (2/3 - 2/5) = 8/15
-    assert abs(val - 8 / 15) < 1e-12
+    val = moment_transform(S, (1, 0), weight)
+    assert abs(val - expected) < 1e-12
+
+
+@pytest.mark.parametrize("weight", [W.exp_neg(), W.abs_power(0.5), W.log_abs()],
+                         ids=["exp_neg", "abs_power", "log_abs"])
+@pytest.mark.parametrize("eps", ["1e-20", "1e-30", "1e-60"])
+def test_nearly_confluent_heights_match_confluent_value(weight, eps):
+    # heights 0, 1, 1 + eps, 1 + 2 eps: the precision must follow the exact
+    # node gaps, or the divided difference cancels to noise
+    T3 = standard_simplex(3)
+    eps = Fraction(eps)
+    confluent = moment_transform(T3, (1, 1, 1), weight)
+    near = moment_transform(T3, (1, 1 + eps, 1 + 2 * eps), weight)
+    assert abs(near - confluent) <= 1e-12 * abs(confluent)
+
+
+@pytest.mark.parametrize("weight, zeta_at_2", [
+    (W.exp_neg(), math.exp(-2)), (W.abs_power(0.5), math.sqrt(2)),
+    (W.log_abs(), math.log(2)),
+], ids=["exp_neg", "abs_power", "log_abs"])
+@pytest.mark.parametrize("eps", ["1e-20", "1e-60"])
+def test_tiny_simplex_far_from_zero(weight, zeta_at_2, eps):
+    # heights 2, 2 + eps, 2 + 2 eps, 2 + 3 eps: the gaps are small against
+    # the heights, not against their span, and the value is vol * zeta(2)
+    eps = Fraction(eps)
+    P = translate(scale(standard_simplex(3), eps), (2, 0, 0))
+    expected = float(eps ** 3 / 6) * zeta_at_2
+    val = moment_transform(P, (1, 2, 3), weight)
+    assert abs(val - expected) <= 1e-12 * expected
 
 
 def test_dirichlet_closed_form_high_dimensions():
