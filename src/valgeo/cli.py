@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -315,8 +316,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads a value such as "-3,1,2" or "-1/2" after a space as an option
+SIGNED_VALUE_OPTIONS = ("--direction", "--p")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite "--direction -3,1,2" as "--direction=-3,1,2" (and --p alike)."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in SIGNED_VALUE_OPTIONS and re.match(r"-[0-9.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_signed_values(argv))
     return args.fn(args, sys.stdout)
 
 

@@ -72,9 +72,6 @@ class FaceLattice:
     def children(self, face: Face) -> list[Face]:
         return self._children[face.vertex_ids]
 
-    def parents(self, face: Face) -> list[Face]:
-        return [g for g in self.faces if face in self._children[g.vertex_ids]]
-
     def f_vector(self) -> tuple[int, ...]:
         counts = [0] * (self.polytope.dim + 1)
         for f in self.faces:
@@ -89,9 +86,6 @@ class FaceLattice:
 
     def plus_class(self) -> list[Face]:
         return [f for f in self.faces if f.in_plus_class]
-
-    def face_polytope(self, face: Face) -> "pt.Polytope":
-        return pt.convex_hull([self.polytope.vertices[i] for i in face.vertex_ids])
 
     def face_support(self, face: Face, x: Vector) -> Fraction:
         return max(vdot(x, self.polytope.vertices[i]) for i in face.vertex_ids)

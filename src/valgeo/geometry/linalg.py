@@ -138,10 +138,6 @@ def rref(m) -> tuple[Matrix, tuple[int, ...]]:
     return reduced, tuple(pivots)
 
 
-def rank(m) -> int:
-    return len(rref(m)[1])
-
-
 def kernel_basis(m) -> list[Vector]:
     """Basis of {x : m x = 0}, exact."""
     if not m:
@@ -200,12 +196,3 @@ def solve(m: Matrix, b: Vector) -> Vector | None:
         if vdot(tuple(row), tuple(x)) != bv:
             return None
     return tuple(x)
-
-
-def inverse(m: Matrix) -> Matrix:
-    n = len(m)
-    rows = [list(row) + list(unit_vector(n, i)) for i, row in enumerate(m)]
-    rows, pivots = _rref(rows)
-    if list(pivots) != list(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in rows)

@@ -1,4 +1,4 @@
-"""Confluent Newton divided differences, exact and high-precision paths.
+"""The divided-difference kernel: one exact height form per body and direction.
 
 The integrator rests on one identity: for a d-simplex S with vertex heights
 a_0..a_d along x and any F whose d-th derivative is zeta (absolutely
@@ -6,9 +6,15 @@ continuous (d-1)-st derivative suffices),
 
     integral_S zeta(x . y) dy  =  d! vol(S) [a_0, ..., a_d]F .
 
-Repeated heights are routed through the confluent rule
-[a,...,a] (k+1 copies) = F^(k)(a)/k!.  The same table is reused with
-polynomial-valued entries to produce exact section-profile pieces.
+``dd_weights`` runs the confluent Newton table once over the exact heights
+and returns the divided difference as a linear form {(h, k): c}, meaning
+[a_0..a_d]F = sum c F^(k)(h) for every F; k + 1 equal heights contribute
+F^(k)(h)/k!.  ``height_form`` sums d! vol(S) times these forms over a
+triangulation of P: the vertex form of Lawrence (Math. Comp. 57, 1991) and
+Baldoni-Berline-De Loera-Koeppe-Vergne (Math. Comp. 80, 2011).  Everything
+downstream evaluates this one form with a different F: exact piecewise
+antiderivatives for exact moments, mpmath antiderivatives for float moments,
+and the truncated power (h - t)_+^{n-1}/(n-1)! for section profiles.
 """
 
 from __future__ import annotations
@@ -18,46 +24,57 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from . import poly as pp
+from ..geometry.linalg import vdot
+from ..geometry.polytope import Polytope, simplex_volume
 
 FLOAT_DPS = 45
 
+ONE = Fraction(1)
 
-def dd_fraction(nodes, value_fn) -> Fraction:
-    """Divided difference over rational nodes with Fraction values.
 
-    nodes must be sorted so equal nodes are adjacent; value_fn(node, order)
-    returns F^(order)(node) exactly.
+def dd_weights(nodes) -> dict[tuple[Fraction, int], Fraction]:
+    """[nodes]F as the exact form {(h, k): c} with [nodes]F = sum c F^(k)(h).
+
+    nodes are exact and sorted, so equal nodes are adjacent.
     """
     m = len(nodes)
-    cur = [value_fn(z, 0) for z in nodes]
+    cur = [{(z, 0): ONE} for z in nodes]
     for level in range(1, m):
         nxt = []
-        fact = Fraction(math.factorial(level))
         for i in range(m - level):
-            if nodes[i + level] == nodes[i]:
-                nxt.append(value_fn(nodes[i], level) / fact)
-            else:
-                nxt.append((cur[i + 1] - cur[i]) / (nodes[i + level] - nodes[i]))
+            lo, hi = nodes[i], nodes[i + level]
+            if lo == hi:
+                nxt.append({(lo, level): Fraction(1, math.factorial(level))})
+                continue
+            inv = ONE / (hi - lo)
+            form = {key: c * inv for key, c in cur[i + 1].items()}
+            for key, c in cur[i].items():
+                form[key] = form.get(key, 0) - c * inv
+            nxt.append(form)
         cur = nxt
     return cur[0]
 
 
-def dd_poly(nodes, value_fn) -> pp.Poly:
-    """Divided difference whose entries are polynomials over Q."""
-    m = len(nodes)
-    cur = [value_fn(z, 0) for z in nodes]
-    for level in range(1, m):
-        nxt = []
-        inv_fact = Fraction(1, math.factorial(level))
-        for i in range(m - level):
-            if nodes[i + level] == nodes[i]:
-                nxt.append(pp.pscale(inv_fact, value_fn(nodes[i], level)))
-            else:
-                step = Fraction(1) / (nodes[i + level] - nodes[i])
-                nxt.append(pp.pscale(step, pp.psub(cur[i + 1], cur[i])))
-        cur = nxt
-    return cur[0]
+def height_form(P: Polytope, x) -> dict[tuple[Fraction, int], Fraction]:
+    """sum over the triangulation of P of n! vol(S) dd_weights(heights of S).
+
+    integral_P zeta(x . y) dy = sum c F^(k)(h) for every n-th antiderivative
+    F of zeta; P must be full-dimensional.
+    """
+    heights = [vdot(x, v) for v in P.vertices]
+    rel = P.rel_vertices()
+    fact = math.factorial(P.n)
+    form: dict[tuple[Fraction, int], Fraction] = {}
+    for simplex in P.triangulation():
+        scale = fact * simplex_volume([rel[i] for i in simplex])
+        for key, c in dd_weights(sorted(heights[i] for i in simplex)).items():
+            form[key] = form.get(key, 0) + scale * c
+    return form
+
+
+def exact_value(form, F) -> Fraction:
+    """sum c F^(k)(h) for an exact piecewise polynomial F."""
+    return sum(c * F.deriv_value(h, k) for (h, k), c in form.items())
 
 
 def _to_mpf(z):
@@ -66,59 +83,48 @@ def _to_mpf(z):
     return mpf(z)
 
 
-def _gap(a, b):
-    """b - a as an mpf; Fraction nodes are subtracted exactly, then rounded."""
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return _to_mpf(b - a)
-    return _to_mpf(b) - _to_mpf(a)
+def _working_dps(heights, levels: int) -> int:
+    """Digits for summing a form over the sorted distinct exact heights.
 
-
-def dd_mpf(nodes, value_fn):
-    """Divided difference over sorted nodes (Fractions or floats), mpf values."""
-    m = len(nodes)
-    cur = [value_fn(z, 0) for z in nodes]
-    for level in range(1, m):
-        nxt = []
-        fact = mpf(math.factorial(level))
-        for i in range(m - level):
-            if nodes[i + level] == nodes[i]:
-                nxt.append(value_fn(nodes[i], level) / fact)
-            else:
-                nxt.append((cur[i + 1] - cur[i]) / _gap(nodes[i], nodes[i + level]))
-        cur = nxt
-    return cur[0]
-
-
-def merge_close_nodes(nodes, rel_tol: float = 1e-9) -> list:
-    """Cluster float nodes closer than rel_tol * scale to a representative.
-
-    Divided differences lose all accuracy over nearly coincident nodes; the
-    merged clusters are handled by the confluent rule instead.
+    Each of the ``levels`` divided-difference levels can lose up to
+    log10(R / g) digits to cancellation, where g is the smallest gap between
+    the heights and R the larger of their span and magnitude.  FLOAT_DPS
+    carries 25 digits of headroom over double precision; beyond that loss
+    the precision is raised by the excess.
     """
-    nodes = sorted(nodes)
-    scale = max((abs(float(z)) for z in nodes), default=1.0) or 1.0
-    tol = rel_tol * scale
-    merged = []
-    for z in nodes:
-        if merged and abs(float(z) - float(merged[-1])) <= tol:
-            merged.append(merged[-1])
-        else:
-            merged.append(z)
-    return merged
+    if len(heights) < 2:
+        return FLOAT_DPS
+    gap = min(b - a for a, b in zip(heights, heights[1:]))
+    reach = max(heights[-1] - heights[0], abs(heights[0]), abs(heights[-1]))
+    ratio = Fraction(reach) / Fraction(gap)
+    digits = math.ceil(math.log10(ratio.numerator) - math.log10(ratio.denominator))
+    return FLOAT_DPS + max(0, levels * digits - 25)
+
+
+def float_value(form, f, levels: int) -> mpf:
+    """sum c f(h, k) in mpmath, f(t, order) giving F^(order)(t) as an mpf.
+
+    The whole sum runs in one precision block, at the digits the exact
+    height gaps call for over ``levels`` divided-difference levels.
+    """
+    heights = sorted({h for h, _ in form})
+    with mp.workdps(_working_dps(heights, levels)):
+        return mp.fsum(_to_mpf(c) * f(h, k) for (h, k), c in form.items())
 
 
 def divided_difference(nodes, antideriv, exact: bool | None = None):
     """Newton divided difference of an antiderivative spec over nodes.
 
     ``antideriv`` is either an exact piecewise polynomial (has
-    ``deriv_value``) or a callable (t, order) -> mpf.  Exact nodes use exact
-    confluence; the float path first merges nearly equal nodes.
+    ``deriv_value``), giving a Fraction, or a callable (t, order) -> mpf,
+    giving an mpf.  Float nodes are read as the binary rationals they are,
+    so confluence is exact and the precision follows the exact node gaps;
+    the callable is called with the nodes as given.
     """
     if exact is None:
         exact = hasattr(antideriv, "deriv_value")
+    given = {Fraction(z): z for z in nodes}
+    form = dd_weights(sorted(Fraction(z) for z in nodes))
     if exact:
-        nodes = sorted(nodes)
-        return dd_fraction(nodes, antideriv.deriv_value)
-    nodes = merge_close_nodes(nodes)
-    with mp.workdps(FLOAT_DPS):
-        return dd_mpf(nodes, antideriv)
+        return exact_value(form, antideriv)
+    return float_value(form, lambda h, k: antideriv(given[h], k), len(nodes) - 1)

@@ -1,11 +1,13 @@
 """Weighted moment transforms M_zeta P(x) = integral_P zeta(x.y) dy.
 
-Exact weights ride the rational divided-difference path per simplex of a
-pulling triangulation.  Float weights (real exponents, exp, log) take one
-high-precision divided difference per simplex of a single antiderivative
-defined on all of R: its (n-1)-st derivative is absolutely continuous across
-height 0, so a simplex straddling 0 needs no cut.  The precision is read
-from the exact gaps between the rational vertex heights.
+Every transform evaluates the exact height form {(h, k): c} of (P, x) from
+``divdiff.height_form``: M_zeta P(x) = sum c F^(k)(h) for an n-th
+antiderivative F of zeta.  Exact weights take F as an exact piecewise
+polynomial.  Float weights (real exponents, exp, log) take one mpmath
+antiderivative defined on all of R -- its (n-1)-st derivative is absolutely
+continuous across height 0, so no simplex needs a cut -- and sum the form
+in one precision block whose digits are read from the exact gaps between
+the distinct heights, rounding to float once.
 
 The same machinery evaluates the section-measure transform
 
@@ -21,11 +23,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from mpmath import mp, mpf, exp as mpexp, log as mplog, power as mppower
+from mpmath import mpf, exp as mpexp, log as mplog, power as mppower
 
 from ..geometry.linalg import as_vector, is_zero_vector, vdot, vneg
 from ..geometry.polytope import Polytope, simplex_volume, volume
-from .divdiff import FLOAT_DPS, dd_fraction, dd_mpf, _to_mpf
+from .divdiff import _to_mpf, dd_weights, exact_value, float_value, height_form
 from .profile import section_profile
 from .weights import MeasureSpec, WeightSpec
 
@@ -85,35 +87,16 @@ def _float_antideriv(weight: WeightSpec, m: int):
     raise ValueError(f"no float antiderivative for weight kind {kind!r}")
 
 
-def _working_dps(nodes) -> int:
-    """Digits for a float divided difference over sorted nodes.
-
-    Each of the len(nodes) - 1 levels can lose up to log10(R / g) digits to
-    cancellation, where g is the smallest positive gap between the exact
-    nodes and R the larger of their span and magnitude.  FLOAT_DPS carries
-    25 digits of headroom over double precision; beyond that loss the
-    precision is raised by the excess.
-    """
-    gaps = [b - a for a, b in zip(nodes, nodes[1:]) if b != a]
-    if not gaps:
-        return FLOAT_DPS
-    reach = max(nodes[-1] - nodes[0], abs(nodes[0]), abs(nodes[-1]))
-    ratio = Fraction(reach) / Fraction(min(gaps))
-    digits = math.ceil(math.log10(ratio.numerator) - math.log10(ratio.denominator))
-    return FLOAT_DPS + max(0, (len(nodes) - 1) * digits - 25)
-
-
 # -- simplex and polytope transforms -------------------------------------------
 
 
 def simplex_moment(vertices, x, weight: WeightSpec):
     """integral over the simplex [vertices] of zeta(x.y) dy, full-dimensional.
 
-    Exact rational for exact-path weights.  Float weights take one mpmath
-    divided difference of a single antiderivative over the vertex heights,
-    also when they straddle 0; the precision is 45 digits, raised by
-    ``_working_dps`` from the exact node gaps when the heights nearly
-    coincide.
+    The form n! vol(S) dd_weights(heights), evaluated as in
+    ``moment_transform``: exact rational for exact-path weights, else one
+    mpmath sum over a single antiderivative, also when the heights
+    straddle 0.
     """
     x = as_vector(x)
     n = len(x)
@@ -126,14 +109,17 @@ def simplex_moment(vertices, x, weight: WeightSpec):
     vol = simplex_volume(list(vertices))
     if vol == 0:
         return ZERO if weight.is_exact else 0.0
+    scale = math.factorial(n) * vol
     nodes = sorted(vdot(x, v) for v in vertices)
-    scale = Fraction(math.factorial(n)) * vol
+    return _evaluate({key: scale * c for key, c in dd_weights(nodes).items()},
+                     weight, n)
+
+
+def _evaluate(form, weight: WeightSpec, n: int):
+    """sum c F^(k)(h) for the n-th antiderivative F of the weight."""
     if weight.is_exact:
-        F = weight.exact_pieces().antiderivative_order(n)
-        return scale * dd_fraction(nodes, F.deriv_value)
-    with mp.workdps(_working_dps(nodes)):
-        f = _float_antideriv(weight, n)
-        return float(_to_mpf(scale) * dd_mpf(nodes, f))
+        return exact_value(form, weight.exact_pieces().antiderivative_order(n))
+    return float(float_value(form, _float_antideriv(weight, n), n))
 
 
 def _unreflected(weight: WeightSpec) -> WeightSpec:
@@ -160,22 +146,7 @@ def moment_transform(P: Polytope, x, weight: WeightSpec):
             raise ValueError("x = o needs a weight smooth at 0")
         return weight.value(ZERO) * volume(P)
 
-    if weight.is_exact:
-        n = P.n
-        F = weight.exact_pieces().antiderivative_order(n)
-        total = ZERO
-        rel = P.rel_vertices()
-        fact = Fraction(math.factorial(n))
-        for simplex in P.triangulation():
-            vol = simplex_volume([rel[i] for i in simplex])
-            nodes = sorted(vdot(x, P.vertices[i]) for i in simplex)
-            total += fact * vol * dd_fraction(nodes, F.deriv_value)
-        return total
-
-    total = 0.0
-    for simplex in P.triangulation():
-        total += simplex_moment([P.vertices[i] for i in simplex], x, weight)
-    return total
+    return _evaluate(height_form(P, x), weight, P.n)
 
 
 def measure_transform(P: Polytope, x, mu: MeasureSpec):

@@ -9,9 +9,11 @@ distinct vertex heights x . v.  The (n-1)-volume of the section satisfies
 V_{n-1}(P cap H_{x,t}) = |x| s(t), so every |x| prefactor in the section
 transforms cancels against s and the whole object stays rational.
 
-Per simplex the piece is n vol(S) [a_0..a_n](a - t)_+^{n-1}: a divided
-difference of truncated powers taken in the node variable, polynomial in t
-on every interval between breakpoints.
+s(t) is the moment of P for the point mass at height t, whose n-th
+antiderivative is F(a) = (a - t)_+^{n-1}/(n-1)!, so it evaluates the exact
+height form {(h, k): c} of (P, x) with F^(k)(h) = (h - t)_+^{n-1-k}/(n-1-k)!.
+On the piece (b_i, b_{i+1}) exactly the heights h >= b_{i+1} contribute, so
+one right-to-left sweep over the heights builds every piece.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..geometry.linalg import Vector, as_vector, is_zero_vector, vdot
-from ..geometry.polytope import Polytope, simplex_volume
+from ..geometry.polytope import Polytope
 from . import poly as pp
-from .divdiff import dd_poly
+from .divdiff import height_form
 from .weights import WeightSpec, PiecewisePoly
 
 ZERO = Fraction(0)
@@ -87,41 +89,22 @@ def section_profile(P: Polytope, x) -> SectionProfile:
     if not P.is_full_dimensional:
         raise ValueError("section profile of a lower-dimensional body is "
                          "a distribution, not a function")
-    n = P.n
-    heights = [vdot(x, v) for v in P.vertices]
-    breakpoints = tuple(sorted(set(heights)))
+    breakpoints = tuple(sorted({vdot(x, v) for v in P.vertices}))
     if len(breakpoints) == 1:
         raise AssertionError("full-dimensional body with constant height")
 
-    simplices = []
-    rel = P.rel_vertices()
-    for simplex in P.triangulation():
-        vol = simplex_volume([rel[i] for i in simplex])
-        nodes = sorted(heights[i] for i in simplex)
-        simplices.append((nodes, vol))
-
-    deg = n - 1
+    deg = P.n - 1
+    terms: dict[Fraction, pp.Poly] = {}
+    for (h, k), c in height_form(P, x).items():
+        # c (h - t)^(deg - k) / (deg - k)!, a polynomial in t
+        term = pp.pscale(c / math.factorial(deg - k), pp.ppow((h, Fraction(-1)), deg - k))
+        terms[h] = pp.padd(terms.get(h, pp.PZERO), term)
     pieces = []
-    for k in range(len(breakpoints) - 1):
-        lo, hi = breakpoints[k], breakpoints[k + 1]
-        total: pp.Poly = pp.PZERO
-        for nodes, vol in simplices:
-            if nodes[-1] <= lo or nodes[0] >= hi:
-                continue
-
-            def value_fn(a, order, _lo=lo):
-                # node value of d^order/da^order (a - t)_+^{deg} for t in (lo, hi)
-                if a <= _lo:
-                    return pp.PZERO
-                if order > deg:
-                    return pp.PZERO
-                coeff = Fraction(math.factorial(deg), math.factorial(deg - order))
-                return pp.pscale(coeff, pp.ppow((a, Fraction(-1)), deg - order))
-
-            contrib = dd_poly(nodes, value_fn)
-            total = pp.padd(total, pp.pscale(Fraction(n) * vol, contrib))
+    total: pp.Poly = pp.PZERO
+    for hi in reversed(breakpoints[1:]):
+        total = pp.padd(total, terms.get(hi, pp.PZERO))
         pieces.append(total)
-    return SectionProfile(tuple(x), breakpoints, tuple(pieces))
+    return SectionProfile(tuple(x), breakpoints, tuple(reversed(pieces)))
 
 
 def integrate_pieces_product(profile: SectionProfile, zeta: PiecewisePoly) -> Fraction:

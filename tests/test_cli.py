@@ -1,5 +1,6 @@
 """Command-line surface: determinism, formats, exit codes, JSON round-trips."""
 
+import contextlib
 import io
 import json
 from fractions import Fraction
@@ -14,9 +15,8 @@ from valgeo.geometry import (
 
 def run_cli(args):
     out = io.StringIO()
-    import valgeo.cli as cli
-    parsed = cli.build_parser().parse_args(args)
-    code = parsed.fn(parsed, out)
+    with contextlib.redirect_stdout(out):
+        code = main(args)
     return code, out.getvalue()
 
 
@@ -58,6 +58,23 @@ def test_profile_command(t3_file):
     lines = out.splitlines()
     assert lines[0] == "row,a,b,value"
     assert "piece,0,1,1/2;-1;1/2" in lines
+
+
+def test_negative_direction_after_a_space(t3_file):
+    spaced = run_cli(["profile", "--input", t3_file, "--direction", "-3,1,2"])
+    joined = run_cli(["profile", "--input", t3_file, "--direction=-3,1,2"])
+    assert spaced[0] == 0
+    assert spaced == joined
+    assert "breakpoint,-3,," in spaced[1].splitlines()
+
+
+def test_negative_p_after_a_space(t3_file):
+    args = ["body", "polar_moment", "--input", t3_file, "--grid", "axes"]
+    spaced = run_cli(args + ["--p", "-1/2"])
+    joined = run_cli(args + ["--p=-1/2"])
+    assert spaced[0] == 0
+    assert spaced == joined
+    assert len(spaced[1].splitlines()) == 7
 
 
 def test_moment_command_exact(t3_file):

@@ -1,28 +1,29 @@
-"""Divided differences: exact tables, confluence, node merging."""
+"""Divided differences: the exact height form, confluence, clustered nodes."""
 
+import math
 from fractions import Fraction
 
+from mpmath import exp as mpexp, mpf
+
 from valgeo.slicing import weights as W
-from valgeo.slicing.divdiff import (
-    dd_fraction, divided_difference, merge_close_nodes,
-)
+from valgeo.slicing.divdiff import divided_difference
 
 
 def test_exact_polynomial_divided_difference():
     # [0,1,2]F for F(t)=t^2 is the leading coefficient 1
     F = W.polynomial([0, 0, 1]).exact_pieces()
     nodes = [Fraction(0), Fraction(1), Fraction(2)]
-    assert dd_fraction(nodes, F.deriv_value) == 1
+    assert divided_difference(nodes, F) == 1
     # degree below the order of the difference: 0
     F1 = W.polynomial([3, 2]).exact_pieces()
-    assert dd_fraction(nodes, F1.deriv_value) == 0
+    assert divided_difference(nodes, F1) == 0
 
 
 def test_confluent_equals_taylor_coefficient():
     # [a,a,a]F = F''(a)/2
     F = W.polynomial([0, 0, 0, 1]).exact_pieces()   # t^3
     a = Fraction(2)
-    val = dd_fraction([a, a, a], F.deriv_value)
+    val = divided_difference([a, a, a], F)
     assert val == 3 * a                              # (6a)/2! = 3a
 
 
@@ -42,13 +43,15 @@ def test_confluent_matches_perturbed_nodes():
     assert abs(float(confluent) - float(spread)) < 1e-7
 
 
-def test_merge_close_nodes():
-    merged = merge_close_nodes([0.0, 1e-12, 1.0, 1.0 + 1e-12, 2.0])
-    assert merged[0] == merged[1]
-    assert merged[2] == merged[3]
-    assert merged[4] == 2.0
-    apart = merge_close_nodes([0.0, 1e-3, 1.0])
-    assert len(set(apart)) == 3
+def test_clustered_float_nodes_keep_their_gaps():
+    # float nodes 1 + k h, h = 1e-8: read as the binary rationals they are,
+    # with the precision raised from their exact gaps; a fixed 45 digits
+    # cancelled this to 0.343.  Expected: e^-1 ((1 - e^-h)/h)^6 / 6!
+    h = 1e-8
+    nodes = [1 + k * h for k in range(7)]
+    val = divided_difference(nodes, lambda t, order: (-1) ** order * mpexp(-mpf(t)))
+    expected = math.exp(-1) * (-math.expm1(-h) / h) ** 6 / math.factorial(6)
+    assert abs(float(val) - expected) <= 1e-12 * expected
 
 
 def test_public_divided_difference_exact_path():

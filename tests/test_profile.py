@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from valgeo.geometry import convex_hull, cube, standard_simplex, volume
+from valgeo.geometry import (
+    convex_hull, cube, cut, standard_simplex, volume, volume_full,
+)
 from valgeo.slicing import section_profile
 from valgeo.slicing import weights as W
-from valgeo.slicing.poly import peval
+from valgeo.slicing.poly import peval, pintegral
 
 
 def test_triangle_profile_is_one_minus_t():
@@ -97,7 +99,6 @@ def test_lower_dimensional_rejected():
 
 
 def test_profile_additivity_under_cut():
-    from valgeo.geometry import cut
     rng = random.Random(16)
     P = convex_hull([tuple(Fraction(rng.randint(-4, 4), 2) for _ in range(3))
                      for _ in range(9)])
@@ -112,3 +113,39 @@ def test_profile_additivity_under_cut():
     for j in range(-16, 17):
         t = Fraction(j, 4)
         assert prof.section_value(t) == pm.section_value(t) + pp.section_value(t)
+
+
+def _mass_below(prof, t):
+    """integral of s from the lowest breakpoint to t, exactly."""
+    total = Fraction(0)
+    for k, piece in enumerate(prof.pieces):
+        lo, hi = prof.breakpoints[k], prof.breakpoints[k + 1]
+        if lo >= t:
+            break
+        total += pintegral(piece, lo, min(hi, t))
+    return total
+
+
+def _profile_bodies():
+    rng = random.Random(17)
+    for n, count in ((3, 8), (4, 8), (5, 8)):
+        while True:
+            P = convex_hull([tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 2))
+                                   for _ in range(n)) for _ in range(count)])
+            x = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
+            if P.dim == n and any(x):
+                break
+        yield pytest.param(P, x, id=f"random-n{n}")
+    yield pytest.param(cube(4), (1, 1, 0, 0), id="cube4-diagonal")
+    yield pytest.param(cube(4), (1, 0, 0, 0), id="cube4-axis")
+
+
+@pytest.mark.parametrize("P, x", list(_profile_bodies()))
+def test_profile_integrates_to_cut_volumes(P, x):
+    # independent oracle: vol{y in P : x.y <= t} from an exact cut, at every
+    # breakpoint and every piece midpoint; the cubes repeat heights, and
+    # along e_1 a facet is orthogonal to x
+    prof = section_profile(P, x)
+    bps = prof.breakpoints
+    for t in bps + tuple((a + b) / 2 for a, b in zip(bps, bps[1:])):
+        assert _mass_below(prof, t) == volume_full(cut(P, x, t)[0])
