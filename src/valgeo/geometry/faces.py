@@ -1,18 +1,28 @@
 """Face lattices, normal cones, and the signed face classes.
 
-Faces of a polytope P are P itself plus every set P cap H_{u,h_P(u)}.
-Each proper face is the intersection of the facets containing it, so the
-lattice is enumerated as the closure of the facet vertex sets under
-intersection.  The normal cone of a face is generated by the facet normals
-through it together with the lineality space aff(P)^perp when P is
-lower-dimensional.
+Faces of a polytope P are P itself plus every set P cap H_{u,h_P(u)}.  Once
+the hull has recorded which vertices lie on which facet, the lattice is
+purely combinatorial (Kaibel-Pfetsch, "Computing the face lattice of a
+polytope from its vertex-facet incidences", Comput. Geom. 23, 2002).  Faces
+are int bitmasks over vertex ids:
 
+* every proper face is the intersection of the facets containing it, so the
+  faces are P plus the closure of the facet masks under ``&``;
+* the children (the facets) of a face F are the inclusion-maximal nonempty
+  sets among {F & G : G a facet of P with G not containing F};
+* dim F = 1 + dim of any child, and single vertices have dim 0;
+* the facets of P through F are the G with F & G == F.
+
+The normal cone of a face is generated by the facet normals through it
+together with the lineality space aff(P)^perp when P is lower-dimensional.
 A face F belongs to the minus class when h_P(u) <= 0 for every u in its
-normal cone, and to the plus class when h_P(u) >= 0 there; both conditions
-are checked exactly on the cone generators (h_P is linear on the cone, so
-the generators decide).  P itself has normal cone {o} (+ lineality), which
-makes the conditions vacuous for full-dimensional bodies: P is always in
-both classes then.
+normal cone, and to the plus class when h_P(u) >= 0 there; h_P is linear on
+the cone, so the generators decide.  For a full-dimensional body the
+generators are the facet normals u_i themselves and h_P(u_i) = c_i, so the
+class is the sign pattern of the offsets of F's facets.  A lower-dimensional
+body evaluates h_P exactly on its in-plane normals and its lineality basis.
+P itself has normal cone {o} (+ lineality), which makes the conditions
+vacuous for full-dimensional bodies: P is always in both classes then.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Vector, rref, vdot, vneg, vsub
+from .linalg import Vector, vdot, vneg
 from . import polytope as pt
 
 SIGN_ZERO = "zero"
@@ -48,20 +58,11 @@ class Face:
 
 
 class FaceLattice:
-    def __init__(self, P: "pt.Polytope", faces: list[Face]):
+    def __init__(self, P: "pt.Polytope", faces: list[Face],
+                 children: dict[tuple[int, ...], list[Face]]):
         self.polytope = P
         self.faces = faces
-        self._by_vertex_ids = {f.vertex_ids: f for f in faces}
-        self._children: dict[tuple[int, ...], list[Face]] = {}
-        for f in faces:
-            self._children[f.vertex_ids] = []
-        for f in faces:
-            if f.dim == 0:
-                continue
-            fset = set(f.vertex_ids)
-            for g in faces:
-                if g.dim == f.dim - 1 and set(g.vertex_ids) < fset:
-                    self._children[f.vertex_ids].append(g)
+        self._children = children  # vertex_ids -> child faces, in faces order
 
     def top(self) -> Face:
         return self.faces[-1]
@@ -90,21 +91,33 @@ class FaceLattice:
     def face_support(self, face: Face, x: Vector) -> Fraction:
         return max(vdot(x, self.polytope.vertices[i]) for i in face.vertex_ids)
 
-    def face_contains_point(self, face: Face, y: Vector) -> bool:
-        """Exact membership y in F, via P-membership plus facet equalities."""
+    def _tight_facets(self, y: Vector) -> int | None:
+        """Bitmask of the facets whose hyperplane holds y; None when y is not in P."""
         P = self.polytope
         if P.point_membership(y) == pt.OUTSIDE:
-            return False
+            return None
         rel = P.chart.project(y)
-        for fid in face.facet_ids:
-            normal, offset = P.rel_facets[fid]
-            if vdot(normal, rel) != offset:
-                return False
-        # proper faces are exactly P cut by their facets' hyperplanes, but a
-        # vertex set can also arise as intersection of fewer facets for
-        # lower-dim faces; facet_ids stores all containing facets, so the
-        # equalities above carve out precisely the face
-        return True
+        tight = 0
+        for fid, (normal, offset) in enumerate(P.rel_facets):
+            if vdot(normal, rel) == offset:
+                tight |= 1 << fid
+        return tight
+
+    def faces_containing(self, y: Vector) -> list[Face]:
+        """The faces holding y, in lattice order, from one membership test.
+
+        A face is P cut by the hyperplanes of all its facets, so y lies in F
+        iff y lies in P and every facet of F is tight at y.
+        """
+        tight = self._tight_facets(y)
+        if tight is None:
+            return []
+        return [f for f in self.faces if all(tight >> fid & 1 for fid in f.facet_ids)]
+
+    def face_contains_point(self, face: Face, y: Vector) -> bool:
+        """Exact membership y in F: the one-face form of faces_containing."""
+        tight = self._tight_facets(y)
+        return tight is not None and all(tight >> fid & 1 for fid in face.facet_ids)
 
 
 def _classify(gen_values, lineality_values) -> str:
@@ -125,54 +138,72 @@ def classify_faces(P: "pt.Polytope") -> tuple[list[Face], list[Face]]:
     return lattice.minus_class(), lattice.plus_class()
 
 
+def _ids(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _maximal(masks: set[int]) -> list[int]:
+    """The inclusion-maximal members of a set of bitmasks."""
+    kept: list[int] = []
+    for mask in sorted(masks, key=int.bit_count, reverse=True):
+        if all(mask & k != mask for k in kept):
+            kept.append(mask)
+    return kept
+
+
 def build_face_lattice(P: "pt.Polytope") -> FaceLattice:
     chart = P.chart
     lineality = chart.normal_basis
-    m = len(P.vertices)
-    all_ids = frozenset(range(m))
 
     if P.dim == 0:
         v = P.vertices[0]
         sign = _classify([], [vdot(w, v) for w in lineality] +
                              [vdot(vneg(w), v) for w in lineality])
         face = Face((0,), 0, (), (), lineality, sign)
-        return FaceLattice(P, [face])
+        return FaceLattice(P, [face], {face.vertex_ids: []})
 
-    facet_vertices = [frozenset(members) for members in P.facet_members]
-    closure: set[frozenset] = set(facet_vertices) | {all_ids}
-    frontier = list(facet_vertices)
+    facet_masks = [sum(1 << i for i in members) for members in P.facet_members]
+    closure = set(facet_masks)
+    frontier = list(facet_masks)
     while frontier:
         nxt = []
-        for fs in frontier:
-            for fv in facet_vertices:
-                meet = fs & fv
+        for mask in frontier:
+            for g in facet_masks:
+                meet = mask & g
                 if meet and meet not in closure:
                     closure.add(meet)
                     nxt.append(meet)
         frontier = nxt
+    closure.add((1 << len(P.vertices)) - 1)
 
-    rel = P.rel_vertices()
-    inplane_cache: dict[int, Vector] = {}
+    # children have fewer vertices than their parent, so they come first
+    child_masks: dict[int, list[int]] = {}
+    dims: dict[int, int] = {}
+    for mask in sorted(closure, key=int.bit_count):
+        kids = _maximal({mask & g for g in facet_masks} - {mask, 0})
+        child_masks[mask] = kids
+        dims[mask] = dims[kids[0]] + 1 if kids else 0
 
-    def inplane(fid: int) -> Vector:
-        if fid not in inplane_cache:
-            inplane_cache[fid] = chart.inplane_normal(P.rel_facets[fid][0])
-        return inplane_cache[fid]
+    full = P.is_full_dimensional
+    # a full-dimensional chart is the identity, so facet normals are in-plane
+    normals = [u if full else chart.inplane_normal(u) for u, _ in P.rel_facets]
+    by_mask: dict[int, Face] = {}
+    for mask in closure:
+        ids = _ids(mask)
+        facet_ids = tuple(i for i, g in enumerate(facet_masks) if mask & g == mask)
+        if full:
+            sign = _classify([P.rel_facets[i][1] for i in facet_ids], ())  # h_P(u_i) = c_i
+        else:
+            ref_vertex = P.vertices[ids[0]]
+            lin_values = [vdot(w, ref_vertex) for w in lineality]
+            sign = _classify([vdot(normals[i], ref_vertex) for i in facet_ids],
+                             lin_values + [-v for v in lin_values])
+        by_mask[mask] = Face(ids, dims[mask], facet_ids,
+                             tuple(normals[i] for i in facet_ids), lineality, sign)
 
-    faces = []
-    for vset in closure:
-        ids = tuple(sorted(vset))
-        base = rel[ids[0]]
-        diffs = [vsub(rel[i], base) for i in ids[1:]]
-        fdim = len(rref(diffs)[1]) if diffs else 0
-        facet_ids = tuple(i for i, fv in enumerate(facet_vertices) if vset <= fv)
-        rays = tuple(inplane(i) for i in facet_ids)
-        ref_vertex = P.vertices[ids[0]]
-        gen_values = [vdot(u, ref_vertex) for u in rays]
-        lin_values = [vdot(w, ref_vertex) for w in lineality]
-        lin_values += [-v for v in lin_values]
-        faces.append(Face(ids, fdim, facet_ids, rays, lineality,
-                          _classify(gen_values, lin_values)))
-
-    faces.sort(key=lambda f: (f.dim, f.vertex_ids))
-    return FaceLattice(P, faces)
+    faces = sorted(by_mask.values(), key=lambda f: (f.dim, f.vertex_ids))
+    # the children of a face share one dimension, so faces order is id order
+    children = {by_mask[mask].vertex_ids: sorted((by_mask[k] for k in kids),
+                                                 key=lambda f: f.vertex_ids)
+                for mask, kids in child_masks.items()}
+    return FaceLattice(P, faces, children)

@@ -251,13 +251,16 @@ class Polytope:
     """
 
     def __init__(self, n: int, vertices: tuple[Vector, ...], chart: AffineChart,
-                 rel_facets: tuple[tuple[Vector, Scalar], ...]):
+                 rel_facets: tuple[tuple[Vector, Scalar], ...],
+                 facet_members: tuple[tuple[int, ...], ...]):
         self.n = n
         self.vertices = vertices
         self.chart = chart
         self.rel_facets = rel_facets  # inequalities u.z <= c in chart coordinates
+        self.facet_members = facet_members  # sorted vertex ids on each facet
         self._lattice = None
         self._triangulation = None
+        self._normalized_volumes = None
 
     # -- basic descriptors -------------------------------------------------
 
@@ -352,6 +355,15 @@ class Polytope:
             self._triangulation = _pulling_triangulation(self)
         return self._triangulation
 
+    def normalized_volumes(self) -> list[Scalar]:
+        """d! vol(S) in the chart for each simplex S of triangulation(), d = dim P."""
+        if self._normalized_volumes is None:
+            rel = self.rel_vertices()
+            fact = math.factorial(self.dim)
+            self._normalized_volumes = [fact * simplex_volume([rel[i] for i in simplex])
+                                        for simplex in self.triangulation()]
+        return self._normalized_volumes
+
 
 def convex_hull(points, max_vertices: int = DEFAULT_MAX_VERTICES) -> Polytope:
     """Exact convex hull of rational points (dimension at most 6).
@@ -374,9 +386,7 @@ def convex_hull(points, max_vertices: int = DEFAULT_MAX_VERTICES) -> Polytope:
     chart = affine_chart(pts)
     k = chart.dim
     if k == 0:
-        poly = Polytope(n, (pts[0],), chart, ())
-        poly.facet_members = ()
-        return poly
+        return Polytope(n, (pts[0],), chart, (), ())
 
     rel_pts = [chart.project(p) for p in pts]
     facets = _hull_full_dim(rel_pts, list(range(len(rel_pts))))
@@ -399,9 +409,8 @@ def convex_hull(points, max_vertices: int = DEFAULT_MAX_VERTICES) -> Polytope:
     rel_facets.sort()
     # pts[0] is the lex-min point, hence always a vertex, so the chart of the
     # pruned vertex list coincides with the chart computed above
-    poly = Polytope(n, vertices, chart, tuple((u, c) for u, c, _ in rel_facets))
-    poly.facet_members = tuple(m for _, _, m in rel_facets)
-    return poly
+    return Polytope(n, vertices, chart, tuple((u, c) for u, c, _ in rel_facets),
+                    tuple(m for _, _, m in rel_facets))
 
 
 # -- surgery ---------------------------------------------------------------
@@ -531,13 +540,7 @@ def volume(P: Polytope) -> Scalar:
     the chart's pivot axes (a fixed normalization of the hull's Lebesgue
     measure); 0-dimensional bodies have volume 1.
     """
-    if P.dim == 0:
-        return ONE
-    total = ZERO
-    rel = P.rel_vertices()
-    for simplex in P.triangulation():
-        total += simplex_volume([rel[i] for i in simplex])
-    return total
+    return sum(P.normalized_volumes(), ZERO) / math.factorial(P.dim)
 
 
 def volume_full(P: Polytope | None) -> Scalar:

@@ -143,8 +143,7 @@ def exhaustive_local_euler(P: Polytope, probes) -> bool:
     from ..geometry.polytope import RELATIVE_INTERIOR
     lattice = P.face_lattice()
     for y in probes:
-        lhs = sum((-1) ** f.dim for f in lattice.faces
-                  if lattice.face_contains_point(f, y))
+        lhs = sum((-1) ** f.dim for f in lattice.faces_containing(y))
         rhs = (-1) ** P.dim * (1 if P.point_membership(y) == RELATIVE_INTERIOR else 0)
         if lhs != rhs:
             return False

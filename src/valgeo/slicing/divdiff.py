@@ -25,7 +25,7 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from ..geometry.linalg import vdot
-from ..geometry.polytope import Polytope, simplex_volume
+from ..geometry.polytope import Polytope
 
 FLOAT_DPS = 45
 
@@ -62,11 +62,8 @@ def height_form(P: Polytope, x) -> dict[tuple[Fraction, int], Fraction]:
     F of zeta; P must be full-dimensional.
     """
     heights = [vdot(x, v) for v in P.vertices]
-    rel = P.rel_vertices()
-    fact = math.factorial(P.n)
     form: dict[tuple[Fraction, int], Fraction] = {}
-    for simplex in P.triangulation():
-        scale = fact * simplex_volume([rel[i] for i in simplex])
+    for simplex, scale in zip(P.triangulation(), P.normalized_volumes()):
         for key, c in dd_weights(sorted(heights[i] for i in simplex)).items():
             form[key] = form.get(key, 0) + scale * c
     return form

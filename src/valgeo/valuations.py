@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .geometry.linalg import (
-    Vector, as_scalar, as_vector, format_scalar, vneg, primitive,
+    Vector, as_scalar, as_vector, format_scalar, vdot, vneg, primitive,
 )
 from .geometry.polytope import (
     Polytope, cone_hull, convex_hull, reflect, volume, zero_vector,
@@ -64,9 +64,10 @@ def euler_op(P: Polytope, x, weight: WeightSpec, which: str = EULER_ALL,
         faces = lattice.faces
     else:
         raise ValueError(f"unknown face class {which!r}")
+    heights = [vdot(x, v) for v in P.vertices]
     counts: dict[Fraction, int] = {}
     for f in faces:
-        h = lattice.face_support(f, x)
+        h = max(heights[i] for i in f.vertex_ids)
         counts[h] = counts.get(h, 0) + (-1) ** f.dim
     total = ZERO
     for h in sorted(counts):

@@ -28,20 +28,30 @@ def test_unit_square_counts():
 
 def test_face_lattice_against_exhaustive_oracle():
     rng = random.Random(5)
-    for trial in range(8):
-        n = rng.choice([2, 3])
+    for trial in range(14):
+        # n = 4 hulls get at most 7 points: the oracle enumerates facet subsets
+        n = rng.choice([2, 3]) if trial < 8 else 4
         pts = [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-                     for _ in range(n)) for _ in range(rng.randint(n + 1, 9))]
+                     for _ in range(n)) for _ in range(rng.randint(n + 1, 9 if n < 4 else 7))]
         P = convex_hull(pts)
         if P.dim != n:
             continue
         facets = brute_facets(list(P.vertices))
         expected_sets = brute_face_vertex_sets(list(P.vertices), facets)
-        got = {frozenset(f.vertex_ids) for f in P.face_lattice().faces}
+        lattice = P.face_lattice()
+        got = {frozenset(f.vertex_ids) for f in lattice.faces}
         assert got == expected_sets
         # dimensions agree with affine dimension of the vertex sets
-        for f in P.face_lattice().faces:
-            assert f.dim == affine_dim([P.vertices[i] for i in f.vertex_ids])
+        expected_dim = {s: affine_dim([P.vertices[i] for i in s]) for s in expected_sets}
+        order = {f.vertex_ids: k for k, f in enumerate(lattice.faces)}
+        for f in lattice.faces:
+            assert f.dim == expected_dim[frozenset(f.vertex_ids)]
+            # children: the faces one dimension down inside f, in faces order
+            fset = frozenset(f.vertex_ids)
+            kids = lattice.children(f)
+            assert {frozenset(c.vertex_ids) for c in kids} == \
+                {s for s in expected_sets if s < fset and expected_dim[s] == f.dim - 1}
+            assert [order[c.vertex_ids] for c in kids] == sorted(order[c.vertex_ids] for c in kids)
 
 
 def test_random_4_polytope_euler_relation():
@@ -108,6 +118,74 @@ def test_normal_cone_linearity():
             for w in f.lineality:
                 vals = {vdot(w, v) for v in P.vertices}
                 assert len(vals) == 1
+
+
+def _cone_rule_signs(P):
+    """Sign class of each face from h_P on its normal-cone generators.
+
+    The generators are the facets' chart.inplane_normal vectors plus the
+    lineality basis; the facets through a face are found from coordinates.
+    """
+    rel = P.rel_vertices()
+    rays = [P.chart.inplane_normal(normal) for normal, _ in P.rel_facets]
+    signs = []
+    for face in P.face_lattice().faces:
+        ref = P.vertices[face.vertex_ids[0]]
+        gen = [vdot(u, ref) for u, (normal, offset) in zip(rays, P.rel_facets)
+               if all(vdot(normal, rel[v]) == offset for v in face.vertex_ids)]
+        lin = [vdot(w, ref) for w in P.chart.normal_basis]
+        nonpos = all(v <= 0 for v in gen) and all(v == 0 for v in lin)
+        nonneg = all(v >= 0 for v in gen) and all(v == 0 for v in lin)
+        signs.append("zero" if nonpos and nonneg else "nonpositive" if nonpos
+                     else "nonnegative" if nonneg else "mixed")
+    return signs
+
+
+def test_height_sign_matches_cone_rule():
+    # full-dimensional bodies take the offset-sign shortcut; the cone rule
+    # through the in-plane normals is the reference
+    rng = random.Random(21)
+    signs = set()
+    for trial in range(30):
+        n = 2 + trial % 4
+        pts = [tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
+               for _ in range(rng.randint(n + 1, n + 4))]
+        shift = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 2)) for _ in range(n))
+        P = convex_hull([tuple(a + b for a, b in zip(p, shift)) for p in pts])
+        if P.dim != n:
+            continue
+        got = [f.height_sign for f in P.face_lattice().faces]
+        assert got == _cone_rule_signs(P)
+        signs.update(got)
+    assert signs == {"zero", "nonpositive", "nonnegative", "mixed"}
+    # lower-dimensional bodies keep the cone rule, where the lineality
+    # directions make it differ from the offset signs
+    flat = [
+        convex_hull([(1, 0, 1), (2, 1, 1), (0, 2, 1)]),   # triangle off o in R^3
+        convex_hull([(1, 1), (3, 2)]),                     # segment in R^2
+        convex_hull([(1, 0), (2, 0)]),                     # segment through o's line
+        convex_hull([(0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 1)]),
+    ]
+    for P in flat:
+        assert P.dim < P.n
+        assert [f.height_sign for f in P.face_lattice().faces] == _cone_rule_signs(P)
+    triangle = flat[0].face_lattice()
+    assert {f.height_sign for f in triangle.faces} == {"mixed"}
+
+
+def test_faces_containing_matches_one_face_form():
+    from valgeo.harness.oracles import local_euler_probes
+    rng = random.Random(8)
+    bodies = [cube(3), standard_simplex(2, 3), convex_hull([(1, 1), (3, 2)])]
+    for trial in range(4):
+        n = rng.choice([2, 3, 4])
+        bodies.append(convex_hull([tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                                         for _ in range(n)) for _ in range(n + 3)]))
+    for P in bodies:
+        lattice = P.face_lattice()
+        for y in local_euler_probes(P, rng):
+            assert lattice.faces_containing(y) == \
+                [f for f in lattice.faces if lattice.face_contains_point(f, y)]
 
 
 def test_face_contains_point():
