@@ -6,7 +6,8 @@ floats as their shortest round-trip repr.  CSV columns are fixed: direction
 components first, then value(s), then an error estimate when a float path
 was used (for moments this is the observed gap between the divided-
 difference value and an independent profile quadrature, plus the
-quadrature's own estimate).
+quadrature's own estimate).  Bad input exits with code 2 and one line on
+stderr.
 """
 
 from __future__ import annotations
@@ -334,7 +335,13 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_signed_values(argv))
-    return args.fn(args, sys.stdout)
+    try:
+        return args.fn(args, sys.stdout)
+    except (ValueError, OSError) as exc:
+        # bad input (a file, its JSON, a body an operator rejects): one line,
+        # in argparse's format and with its exit code
+        print(f"valgeo: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

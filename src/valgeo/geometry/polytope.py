@@ -126,10 +126,6 @@ class _WorkFacet:
     members: set[int]
 
 
-def _facet_key(normal: Vector, offset: Scalar):
-    return (normal, offset)
-
-
 def _hyperplane_through(points: list[Vector]) -> tuple[Vector, Scalar] | None:
     """Normal/offset of the unique hyperplane through affinely spanning points."""
     base = points[0]
@@ -174,7 +170,7 @@ def _hull_full_dim(points: list[Vector], order: list[int]) -> list[_WorkFacet]:
         normal, offset = plane
         if vdot(normal, interior) > offset:
             normal, offset = vneg(normal), -offset
-        facets[_facet_key(normal, offset)] = _WorkFacet(normal, offset, set(members))
+        facets[(normal, offset)] = _WorkFacet(normal, offset, set(members))
 
     inserted = set(simplex)
     for idx in order:
@@ -214,7 +210,7 @@ def _hull_full_dim(points: list[Vector], order: list[int]) -> list[_WorkFacet]:
                 normal, offset = plane
                 if vdot(normal, interior) > offset:
                     normal, offset = vneg(normal), -offset
-                key = _facet_key(normal, offset)
+                key = (normal, offset)
                 members = {i for i in known | {idx}
                            if vdot(normal, points[i]) == offset}
                 if key in new_facets:
@@ -222,7 +218,7 @@ def _hull_full_dim(points: list[Vector], order: list[int]) -> list[_WorkFacet]:
                 else:
                     new_facets[key] = _WorkFacet(normal, offset, members)
         for f in visible:
-            del facets[_facet_key(f.normal, f.offset)]
+            del facets[(f.normal, f.offset)]
         for key, f in new_facets.items():
             if key in facets:
                 facets[key].members |= f.members
@@ -261,6 +257,7 @@ class Polytope:
         self._lattice = None
         self._triangulation = None
         self._normalized_volumes = None
+        self._cone_hull = None
 
     # -- basic descriptors -------------------------------------------------
 
@@ -433,8 +430,10 @@ def reflect(P: Polytope) -> Polytope:
 
 
 def cone_hull(P: Polytope) -> Polytope:
-    """[P, o]: the convex hull of P and the origin."""
-    return convex_hull(list(P.vertices) + [zero_vector(P.n)])
+    """[P, o]: the convex hull of P and the origin, built once per body."""
+    if P._cone_hull is None:
+        P._cone_hull = convex_hull(list(P.vertices) + [zero_vector(P.n)])
+    return P._cone_hull
 
 
 def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:

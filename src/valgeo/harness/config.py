@@ -13,7 +13,6 @@ class FuzzConfig:
     vertex_count_range: tuple[int, int] = (4, 9)
     coordinate_denominator_bound: int = 4
     trials: int = 100
-    tolerance_exact_is_zero: bool = True
     tolerance_float: float = 1e-8
 
     def trial_rng(self, index: int) -> random.Random:

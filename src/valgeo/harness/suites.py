@@ -70,11 +70,10 @@ def _compare(lhs, rhs, exact: bool, tol: float) -> tuple[bool, str]:
     return ok, repr(rel)
 
 
-def _check(cfg: FuzzConfig, lhs, rhs, exact: bool, tol: float | None = None):
-    """Compare under the config: exact paths demand delta == 0 unless the
-    must-be-zero flag is relaxed, float paths use the relative tolerance."""
-    strict = exact and cfg.tolerance_exact_is_zero
-    return _compare(lhs, rhs, strict, tol if tol is not None else cfg.tolerance_float)
+def _check(cfg: FuzzConfig, lhs, rhs, exact: bool):
+    """Compare under the config: exact paths demand delta == 0, float paths
+    use the relative tolerance."""
+    return _compare(lhs, rhs, exact, cfg.tolerance_float)
 
 
 def _point_json(v) -> list[str]:

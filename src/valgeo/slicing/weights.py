@@ -29,7 +29,6 @@ have no finite description here and are out of reach by construction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -276,10 +275,6 @@ def weight_from_dict(payload: dict) -> WeightSpec:
     raise ValueError(f"unknown weight kind {kind!r}")
 
 
-def weight_from_json(text: str) -> WeightSpec:
-    return weight_from_dict(json.loads(text))
-
-
 class PiecewisePoly:
     """Piecewise polynomial with rational breakpoints.
 
@@ -370,10 +365,6 @@ def measure_from_dict(payload: dict) -> MeasureSpec:
     density = payload.get("density")
     return measure(weight_from_dict(density) if density else None,
                    payload.get("atoms", ()))
-
-
-def measure_from_json(text: str) -> MeasureSpec:
-    return measure_from_dict(json.loads(text))
 
 
 def lebesgue() -> MeasureSpec:

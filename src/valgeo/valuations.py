@@ -12,6 +12,17 @@ where the classes are cut out by the sign of the support function on the
 normal cone of each face.  Heights are collected exactly and zeta is applied
 once per distinct height with its integer multiplicity, so alternating
 cancellations happen in integer arithmetic even for float weights.
+
+A term on the reflected body -Q (Q = P or [P, o]) is the same term on Q at
+-x.  The faces of -Q are the -F, with the same dimensions and sign classes
+(the facet offsets stay, the normals flip), and
+
+    h_{-Q}(x) = h_Q(-x),    h_{-F}(x) = h_F(-x),
+    -Q cap H_{x,t} = -(Q cap H_{-x,t}),
+
+so supp_compose, euler_op and measure_transform on -Q at x equal the same
+operator on Q at -x, exactly.  ``classified_evaluate`` therefore negates the
+direction and never builds -Q.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from .geometry.linalg import (
     Vector, as_scalar, as_vector, format_scalar, vdot, vneg, primitive,
 )
 from .geometry.polytope import (
-    Polytope, cone_hull, convex_hull, reflect, volume, zero_vector,
+    Polytope, cone_hull, convex_hull, volume, zero_vector,
 )
 from .slicing.moments import measure_transform, moment_transform
 from .slicing.profile import section_profile
@@ -41,20 +52,14 @@ EULER_PLUS = "plus"
 EULER_ALL = "all"
 
 
-def supp_compose(P: Polytope, x, weight: WeightSpec, reflect_body: bool = False):
-    """zeta(h_P(x)); with reflect_body, zeta(h_{-P}(x)) = zeta(h_P(-x))."""
-    x = as_vector(x)
-    if reflect_body:
-        x = vneg(x)
-    return weight.value(P.support(x))
+def supp_compose(P: Polytope, x, weight: WeightSpec):
+    """zeta(h_P(x))."""
+    return weight.value(P.support(as_vector(x)))
 
 
-def euler_op(P: Polytope, x, weight: WeightSpec, which: str = EULER_ALL,
-             reflect_body: bool = False):
+def euler_op(P: Polytope, x, weight: WeightSpec, which: str = EULER_ALL):
     """Signed face sum over the chosen class; P itself is included."""
     x = as_vector(x)
-    if reflect_body:
-        P = reflect(P)
     lattice = P.face_lattice()
     if which == EULER_MINUS:
         faces = lattice.minus_class()
@@ -215,6 +220,8 @@ def cone_volume_integral(L: Polytope, g) -> float:
 
 
 TERM_OPS = ("supp_compose", "euler_minus", "euler_plus", "euler_all", "measure")
+EULER_CLASS = {"euler_minus": EULER_MINUS, "euler_plus": EULER_PLUS,
+               "euler_all": EULER_ALL}
 
 
 @dataclass(frozen=True)
@@ -281,29 +288,24 @@ def expr_from_json(text: str) -> ValuationExpr:
 
 
 def classified_evaluate(P: Polytope | None, x, expr: ValuationExpr):
-    """Evaluate a representation-formula expression; Z(empty) = 0."""
+    """Evaluate a representation-formula expression; Z(empty) = 0.
+
+    A reflected term is its operator at -x (see the module docstring), and
+    [P, o] comes from the hull cached on P.
+    """
     if P is None:
         return ZERO
     x = as_vector(x)
     total = ZERO
-    cached_cone = None
     for term in expr.terms:
-        body = P
-        if term.cone_hull:
-            if cached_cone is None:
-                cached_cone = cone_hull(P)
-            body = cached_cone
+        body = cone_hull(P) if term.cone_hull else P
+        y = vneg(x) if term.reflect_body else x
         if term.op == "supp_compose":
-            val = supp_compose(body, x, term.weight, term.reflect_body)
-        elif term.op == "euler_minus":
-            val = euler_op(body, x, term.weight, EULER_MINUS, term.reflect_body)
-        elif term.op == "euler_plus":
-            val = euler_op(body, x, term.weight, EULER_PLUS, term.reflect_body)
-        elif term.op == "euler_all":
-            val = euler_op(body, x, term.weight, EULER_ALL, term.reflect_body)
+            val = supp_compose(body, y, term.weight)
+        elif term.op == "measure":
+            val = measure_transform(body, y, term.measure)
         else:
-            target = reflect(body) if term.reflect_body else body
-            val = measure_transform(target, x, term.measure)
+            val = euler_op(body, y, term.weight, EULER_CLASS[term.op])
         total = total + term.coeff * val
     return total
 

@@ -140,6 +140,32 @@ def test_body_without_p_is_rejected(t3_file, kind):
         run_cli(["body", kind, "--input", t3_file, "--grid", "axes"])
 
 
+@pytest.mark.parametrize("case", ["too_many_points", "flat_profile",
+                                  "malformed_json", "missing_file"])
+def test_bad_input_is_one_line_error(tmp_path, capsys, case):
+    path = tmp_path / "body.json"
+    if case == "too_many_points":
+        # 80 points on the moment curve, all of them vertices
+        path.write_text(json.dumps({"n": 3, "vertices": [
+            [str(i), str(i * i), str(i ** 3)] for i in range(80)]}))
+        argv, message = ["hull"], "too many points (80 > 64)"
+    elif case == "flat_profile":
+        path.write_text(polytope_to_json(standard_simplex(2, 3)))
+        argv, message = ["profile", "--direction", "1,0,0"], "section profile of"
+    elif case == "malformed_json":
+        path.write_text('{"n": 3, "vertices": [')
+        argv, message = ["hull"], "Expecting value"
+    else:
+        argv, message = ["faces"], "No such file or directory"
+    code = main(argv + ["--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("valgeo: error: ")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_grid_options(t3_file):
     code, out = run_cli(["moment", "--input", t3_file,
                          "--weight", '{"kind":"power","p":0}',
@@ -165,8 +191,8 @@ def test_check_exit_codes():
     assert code == 0
     summary = json.loads(out.splitlines()[-1])
     assert summary["passed"] is True
-    with pytest.raises(ValueError):
-        run_cli(["check", "--suite", "nope", "--trials", "1"])
+    code, out = run_cli(["check", "--suite", "nope", "--trials", "1"])
+    assert code == 2 and out == ""
 
 
 def test_check_all_smoke():

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from valgeo.geometry import (
-    cone_hull, convex_hull, cube, cut, scale, standard_simplex, translate,
-    volume,
+    cone_hull, convex_hull, cube, cut, reflect, scale, standard_simplex,
+    translate, volume,
 )
 from valgeo.geometry.linalg import vdot, vneg
-from valgeo.slicing import moment_transform, section_profile
+from valgeo.slicing import measure_transform, moment_transform, section_profile
 from valgeo.slicing import weights as W
 from valgeo import valuations as V
 
@@ -58,7 +58,8 @@ def test_supp_compose_normal_cone_characteristic():
 def test_supp_compose_reflect_body():
     P = convex_hull([(1, 0), (2, 1)])
     x = (Fraction(3), Fraction(-1))
-    assert V.supp_compose(P, x, W.power(1), reflect_body=True) == \
+    term = V.Term("supp_compose", weight=W.power(1), reflect_body=True)
+    assert V.classified_evaluate(P, x, V.ValuationExpr((term,))) == \
         P.support(vneg(x))
 
 
@@ -249,6 +250,65 @@ def test_measure_term_is_volume():
     T3 = standard_simplex(3)
     assert V.classified_evaluate(T3, (1, 2, 3), expr) == volume(T3)
     assert V.classified_evaluate(None, (1, 2, 3), expr) == 0
+
+
+# Bodies with o inside, on the boundary (a vertex, a facet) and outside, and
+# lower-dimensional ones; none is centrally symmetric, so h_P(x) != h_P(-x).
+REFLECT_BODIES = [
+    convex_hull([(-1, -1, -1), (3, 0, 0), (0, 2, 0), (0, 0, 1), (1, 1, 1)]),
+    standard_simplex(3),
+    convex_hull([(-1, -1, 0), (2, 0, 0), (0, 2, 0), (0, 0, 1)]),
+    translate(standard_simplex(3), (1, 2, Fraction(1, 2))),
+    convex_hull([(1, 0, 0), (0, 2, 1), (1, 1, 1)]),
+    convex_hull([(-1, 2), (3, -1)]),
+    convex_hull([(2, 1)]),
+]
+REFLECT_DIRECTIONS = {3: [(3, -1, 2), (1, 0, 0), (-2, 1, Fraction(1, 2))],
+                      2: [(1, 1), (-3, 2)]}
+EULER_CLASSES = {"euler_minus": V.EULER_MINUS, "euler_plus": V.EULER_PLUS,
+                 "euler_all": V.EULER_ALL}
+
+
+@pytest.mark.parametrize("on_cone", [False, True])
+@pytest.mark.parametrize("op", V.TERM_OPS)
+def test_reflected_term_is_the_term_on_the_reflected_body(op, on_cone):
+    # reflect() stays the reference: the term must equal its operator applied
+    # to the hull of the negated vertices, at x itself
+    weights = [W.polynomial([Fraction(1, 2), -2, 0, 1]), W.indicator(0, 1)]
+    checked = 0
+    for P in REFLECT_BODIES:
+        body = cone_hull(P) if on_cone else P
+        R = reflect(body)
+        if op == "measure" and not body.is_full_dimensional:
+            continue  # atoms on a flat body are rejected either way
+        for x in REFLECT_DIRECTIONS[P.n]:
+            x = tuple(Fraction(c) for c in x)
+            if op == "measure":
+                lo, hi = -R.support(vneg(x)), R.support(x)
+                terms = [V.Term(op, measure=W.measure(
+                    W.polynomial([1, 1]), atoms=[(lo, 2), (0, -1), (hi, 3)]),
+                    reflect_body=True, cone_hull=on_cone)]
+                expected = [measure_transform(R, x, terms[0].measure)]
+            else:
+                terms = [V.Term(op, weight=w, reflect_body=True, cone_hull=on_cone)
+                         for w in weights]
+                if op == "supp_compose":
+                    expected = [V.supp_compose(R, x, w) for w in weights]
+                else:
+                    expected = [V.euler_op(R, x, w, EULER_CLASSES[op])
+                                for w in weights]
+            for term, want in zip(terms, expected):
+                got = V.classified_evaluate(P, x, V.ValuationExpr((term,)))
+                assert got == want, (P, x, term)
+                checked += 1
+    assert checked >= 12
+
+
+def test_cone_hull_is_built_once_per_body():
+    P = translate(standard_simplex(3), (1, 1, 1))
+    C = cone_hull(P)
+    assert cone_hull(P) is C
+    assert C.vertices == convex_hull(list(P.vertices) + [(0, 0, 0)]).vertices
 
 
 def test_expr_json_round_trip():
