@@ -19,7 +19,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .geometry.linalg import as_scalar, as_vector, format_scalar
+from .geometry.linalg import as_scalar, as_vector, format_scalar, json_shape
 from .geometry.polytope import Polytope, polytope_from_json
 from .harness.config import FuzzConfig
 from .harness.suites import SUITES, run_suite
@@ -79,7 +79,8 @@ def _parse_grid(spec: str, n: int, radii: str | None):
         dirs = _fibonacci_sphere(int(spec.split(":", 1)[1]))
     else:
         payload = _load_json_arg(spec)
-        dirs = [as_vector(d) for d in payload["directions"]]
+        with json_shape("--grid"):
+            dirs = [as_vector(d) for d in payload["directions"]]
         if any(len(d) != n for d in dirs):
             raise SystemExit(f"grid directions must have {n} components")
     if radii:
@@ -157,7 +158,7 @@ def cmd_profile(args, out) -> int:
         for j in range(args.samples_per_piece):
             t = lo + (hi - lo) * Fraction(2 * j + 1, 2 * args.samples_per_piece)
             rows.append(("sample", format_scalar(t), "",
-                         format_scalar(prof.value(t))))
+                         format_scalar(prof.section_value(t))))
     _emit_rows(("row", "a", "b", "value"), rows, args.format, out)
     return 0
 

@@ -1,4 +1,4 @@
-"""Face lattices, normal cones, and the signed face classes.
+"""Face lattices and the signed face classes.
 
 Faces of a polytope P are P itself plus every set P cap H_{u,h_P(u)}.  Once
 the hull has recorded which vertices lie on which facet, the lattice is
@@ -13,16 +13,22 @@ are int bitmasks over vertex ids:
 * dim F = 1 + dim of any child, and single vertices have dim 0;
 * the facets of P through F are the G with F & G == F.
 
-The normal cone of a face is generated by the facet normals through it
-together with the lineality space aff(P)^perp when P is lower-dimensional.
 A face F belongs to the minus class when h_P(u) <= 0 for every u in its
-normal cone, and to the plus class when h_P(u) >= 0 there; h_P is linear on
-the cone, so the generators decide.  For a full-dimensional body the
-generators are the facet normals u_i themselves and h_P(u_i) = c_i, so the
-class is the sign pattern of the offsets of F's facets.  A lower-dimensional
-body evaluates h_P exactly on its in-plane normals and its lineality basis.
-P itself has normal cone {o} (+ lineality), which makes the conditions
-vacuous for full-dimensional bodies: P is always in both classes then.
+normal cone N(P, F), and to the plus class when h_P(u) >= 0 there.  One sign
+rule decides both for every body:
+
+* N(P, F) = cone{u_i : facet i contains F} + lin(P)^perp, and h_P(u) = u.y
+  on it for any y in F.
+* If o is not in aff P, some w in lin(P)^perp has w.y != 0; both +-w lie in
+  every normal cone, so every face is mixed, P included.
+* If o is in aff P, take u_i in lin(P) acting on aff P as the chart normal
+  rho_i of facet i does: u_i.y = rho_i.project(y).  Then h_P(u_i) = c_i, the
+  chart offset, and the class is the sign pattern of the offsets of F's
+  facets.
+
+A point {v} is the same rule with no facets: zero when v = o, else mixed.
+P itself has no facets through it, so it is in both classes whenever o is in
+aff P.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Vector, vdot, vneg
+from .linalg import Vector, vdot, zero_vector
 from . import polytope as pt
 
 SIGN_ZERO = "zero"
@@ -44,8 +50,6 @@ class Face:
     vertex_ids: tuple[int, ...]
     dim: int
     facet_ids: tuple[int, ...]      # facets of P containing this face
-    normal_cone_rays: tuple[Vector, ...]  # in-plane generators, ambient coords
-    lineality: tuple[Vector, ...]   # basis of aff(P)^perp, ambient coords
     height_sign: str
 
     @property
@@ -120,9 +124,9 @@ class FaceLattice:
         return tight is not None and all(tight >> fid & 1 for fid in face.facet_ids)
 
 
-def _classify(gen_values, lineality_values) -> str:
-    nonpos = all(v <= 0 for v in gen_values) and all(v == 0 for v in lineality_values)
-    nonneg = all(v >= 0 for v in gen_values) and all(v == 0 for v in lineality_values)
+def _classify(offsets) -> str:
+    nonpos = all(c <= 0 for c in offsets)
+    nonneg = all(c >= 0 for c in offsets)
     if nonpos and nonneg:
         return SIGN_ZERO
     if nonpos:
@@ -152,16 +156,6 @@ def _maximal(masks: set[int]) -> list[int]:
 
 
 def build_face_lattice(P: "pt.Polytope") -> FaceLattice:
-    chart = P.chart
-    lineality = chart.normal_basis
-
-    if P.dim == 0:
-        v = P.vertices[0]
-        sign = _classify([], [vdot(w, v) for w in lineality] +
-                             [vdot(vneg(w), v) for w in lineality])
-        face = Face((0,), 0, (), (), lineality, sign)
-        return FaceLattice(P, [face], {face.vertex_ids: []})
-
     facet_masks = [sum(1 << i for i in members) for members in P.facet_members]
     closure = set(facet_masks)
     frontier = list(facet_masks)
@@ -184,22 +178,13 @@ def build_face_lattice(P: "pt.Polytope") -> FaceLattice:
         child_masks[mask] = kids
         dims[mask] = dims[kids[0]] + 1 if kids else 0
 
-    full = P.is_full_dimensional
-    # a full-dimensional chart is the identity, so facet normals are in-plane
-    normals = [u if full else chart.inplane_normal(u) for u, _ in P.rel_facets]
+    through_origin = P.chart.contains(zero_vector(P.n))
     by_mask: dict[int, Face] = {}
     for mask in closure:
-        ids = _ids(mask)
         facet_ids = tuple(i for i, g in enumerate(facet_masks) if mask & g == mask)
-        if full:
-            sign = _classify([P.rel_facets[i][1] for i in facet_ids], ())  # h_P(u_i) = c_i
-        else:
-            ref_vertex = P.vertices[ids[0]]
-            lin_values = [vdot(w, ref_vertex) for w in lineality]
-            sign = _classify([vdot(normals[i], ref_vertex) for i in facet_ids],
-                             lin_values + [-v for v in lin_values])
-        by_mask[mask] = Face(ids, dims[mask], facet_ids,
-                             tuple(normals[i] for i in facet_ids), lineality, sign)
+        sign = _classify([P.rel_facets[i][1] for i in facet_ids]) if through_origin \
+            else SIGN_MIXED
+        by_mask[mask] = Face(_ids(mask), dims[mask], facet_ids, sign)
 
     faces = sorted(by_mask.values(), key=lambda f: (f.dim, f.vertex_ids))
     # the children of a face share one dimension, so faces order is id order

@@ -1,12 +1,14 @@
 """Exact rational linear algebra on small dense matrices.
 
 Everything here operates on tuples of ``fractions.Fraction`` and is used by
-the geometric predicates (orientation, rank, affine hulls, normal cones).
-No floating point enters any of these routines.
+the geometric predicates (orientation, rank, affine hulls).  No floating
+point enters any of these routines.  ``as_scalar``, ``as_vector`` and
+``json_shape`` also serve the JSON readers.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
@@ -37,6 +39,17 @@ def format_scalar(value: Fraction) -> str:
 
 def as_vector(coords) -> Vector:
     return tuple(as_scalar(c) for c in coords)
+
+
+@contextmanager
+def json_shape(reader: str):
+    """Turn a missing key or a wrong type met while reading JSON into one
+    ValueError naming the reader."""
+    try:
+        yield
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{reader}: JSON of the wrong shape "
+                         f"({type(exc).__name__}: {exc})") from exc
 
 
 def vadd(a: Vector, b: Vector) -> Vector:
@@ -178,21 +191,3 @@ def det(m: Matrix) -> Fraction:
                 f = rows[i][c] * inv
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return result
-
-
-def solve(m: Matrix, b: Vector) -> Vector | None:
-    """Solve m x = b exactly; None if inconsistent (least structure needed)."""
-    n = len(m)
-    ncols = len(m[0])
-    rows = [list(row) + [bv] for row, bv in zip(m, b)]
-    rows, pivots = _rref(rows)
-    x = [ZERO] * ncols
-    for i, pc in enumerate(pivots):
-        if pc == ncols:  # pivot in augmented column: inconsistent
-            return None
-        x[pc] = rows[i][ncols]
-    # verify (handles rank-deficient consistent systems)
-    for row, bv in zip(m, b):
-        if vdot(tuple(row), tuple(x)) != bv:
-            return None
-    return tuple(x)

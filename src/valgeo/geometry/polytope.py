@@ -29,13 +29,12 @@ from .linalg import (
     as_vector,
     det,
     format_scalar,
-    identity_matrix,
     is_zero_vector,
+    json_shape,
     kernel_basis,
     mat_vec,
     primitive,
     rref,
-    solve,
     unit_vector,
     vadd,
     vdot,
@@ -60,14 +59,13 @@ class AffineChart:
     ``pivots`` are the ambient coordinate axes that parametrize the hull;
     ``project`` reads those coordinates off a point, ``lift`` reconstructs
     the ambient point.  ``basis`` rows span the direction space lin(P) and
-    satisfy project(basis[a]) = e_a.  ``normal_basis`` spans lin(P)^perp.
+    satisfy project(basis[a]) = e_a.
     """
 
     n: int
     base: Vector
     pivots: tuple[int, ...]
     basis: tuple[Vector, ...]
-    normal_basis: tuple[Vector, ...]
 
     @property
     def dim(self) -> int:
@@ -87,24 +85,6 @@ class AffineChart:
     def contains(self, point: Vector) -> bool:
         return self.lift(self.project(point)) == point
 
-    def contains_direction(self, direction: Vector) -> bool:
-        rel = tuple(direction[j] for j in self.pivots)
-        lifted = zero_vector(self.n)
-        for a, coord in enumerate(rel):
-            if coord != 0:
-                lifted = vadd(lifted, vscale(coord, self.basis[a]))
-        return lifted == direction
-
-    def inplane_normal(self, rel_normal: Vector) -> Vector:
-        """Ambient u in lin(P) acting on the hull as rel_normal does."""
-        gram = tuple(tuple(vdot(a, b) for b in self.basis) for a in self.basis)
-        coeffs = solve(gram, rel_normal)
-        assert coeffs is not None
-        out = zero_vector(self.n)
-        for c, b in zip(coeffs, self.basis):
-            out = vadd(out, vscale(c, b))
-        return out
-
 
 def affine_chart(points: list[Vector]) -> AffineChart:
     n = len(points[0])
@@ -114,9 +94,7 @@ def affine_chart(points: list[Vector]) -> AffineChart:
         reduced, pivots = rref(diffs)
     else:
         reduced, pivots = (), ()
-    normal = tuple(kernel_basis(reduced)) if reduced else tuple(identity_matrix(n))
-    return AffineChart(n=n, base=base, pivots=tuple(pivots),
-                       basis=tuple(reduced), normal_basis=normal)
+    return AffineChart(n=n, base=base, pivots=tuple(pivots), basis=tuple(reduced))
 
 
 @dataclass
@@ -303,9 +281,9 @@ class Polytope:
             raise ValueError("gauge requires the origin to lie in P")
         if all(c == 0 for c in x):
             return ZERO
-        if not self.chart.contains_direction(x):
+        if not self.chart.contains(x):  # o is in aff P, so this is x in lin(P)
             return math.inf
-        rel = tuple(x[j] for j in self.chart.pivots)
+        rel = self.chart.project(x)
         bound = ZERO
         for normal, offset in self.rel_facets:
             num = vdot(normal, rel)
@@ -323,8 +301,6 @@ class Polytope:
             raise ValueError("dimension mismatch")
         if not self.chart.contains(y):
             return OUTSIDE
-        if self.dim == 0:
-            return RELATIVE_INTERIOR if y == self.vertices[0] else OUTSIDE
         rel = self.chart.project(y)
         on_boundary = False
         for normal, offset in self.rel_facets:
@@ -566,8 +542,9 @@ def polytope_to_json(P: Polytope) -> str:
 
 def polytope_from_json(text: str) -> Polytope:
     payload = json.loads(text)
-    n = payload["n"]
-    verts = [as_vector(v) for v in payload["vertices"]]
+    with json_shape("polytope_from_json"):
+        n = payload["n"]
+        verts = [as_vector(v) for v in payload["vertices"]]
     if any(len(v) != n for v in verts):
         raise ValueError("vertex length disagrees with declared dimension")
     return convex_hull(verts)

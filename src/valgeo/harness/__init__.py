@@ -1,4 +1,4 @@
-from .config import FuzzConfig, CounterexampleReport
+from .config import FuzzConfig
 from .suites import (
     SUITES, SuiteResult, run_suite, fuzz_valuation_identity, fuzz_covariance,
     valuation_suite, euler_relation_suite, local_euler_suite, fubini_suite,

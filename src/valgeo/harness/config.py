@@ -1,4 +1,4 @@
-"""Fuzzing configuration and counterexample reports."""
+"""Fuzzing configuration."""
 
 from __future__ import annotations
 
@@ -19,26 +19,3 @@ class FuzzConfig:
         # string seeding hashes through sha512: stable across processes
         return random.Random(f"{self.seed}:{index}")
 
-
-@dataclass
-class CounterexampleReport:
-    identity: str
-    trial: int
-    inputs: dict
-    lhs: str
-    rhs: str
-    delta: str
-    shrunk_inputs: dict | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "identity": self.identity,
-            "trial": self.trial,
-            "inputs": self.inputs,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "delta": self.delta,
-        }
-        if self.shrunk_inputs is not None:
-            out["shrunk_inputs"] = self.shrunk_inputs
-        return out

@@ -29,7 +29,7 @@ from ..valuations import (
     EULER_ALL, EULER_MINUS, EULER_PLUS, cone_volume_measure, euler_op,
     supp_compose,
 )
-from .config import CounterexampleReport, FuzzConfig
+from .config import FuzzConfig
 from .generators import (
     rand_direction, rand_glplus_matrix, rand_hyperplane, rand_indicator_weight,
     rand_polynomial_weight, rand_polytope, rand_sl_matrix, rand_tabulated_weight,
@@ -98,10 +98,8 @@ def _row(suite: str, identity: str, trial: int, ok: bool, exact: bool,
         "delta": delta,
     }
     if not ok and inputs is not None:
-        report = CounterexampleReport(identity, trial, inputs, _fmt(lhs),
-                                      _fmt(rhs), delta, shrunk)
-        row.update(report.to_dict())
-    elif shrunk is not None:
+        row["inputs"] = inputs
+    if shrunk is not None:
         row["shrunk_inputs"] = shrunk
     return row
 
@@ -188,8 +186,14 @@ def _operator_battery(rng) -> list[tuple[str, bool, object]]:
 # -- suites ----------------------------------------------------------------------
 
 
-def valuation_suite(cfg: FuzzConfig) -> SuiteResult:
-    """Z(P) + Z(P cap H) = Z(P cap H^+) + Z(P cap H^-) for the whole battery."""
+def _cut_identity(suite: str, cfg: FuzzConfig, battery,
+                  extra_inputs: dict | None = None) -> SuiteResult:
+    """Z(P) + Z(P cap H) = Z(P cap H^+) + Z(P cap H^-) for every
+    (name, exact, evaluate(P, x)) of battery(rng), on one cut per trial.
+
+    The battery is drawn from the trial's rng after the body, the hyperplane
+    and the direction; exact violations carry a shrunk body.
+    """
     rows = []
     for trial in range(cfg.trials):
         rng = cfg.trial_rng(trial)
@@ -200,8 +204,9 @@ def valuation_suite(cfg: FuzzConfig) -> SuiteResult:
         x = rand_direction(rng, n)
         minus, plus, mid = cut(P, normal, offset)
         inputs = {"vertices": _poly_json(P), "x": _point_json(x),
-                  "hyperplane": [_point_json(normal), format_scalar(offset)]}
-        for name, exact, ev in _operator_battery(rng):
+                  "hyperplane": [_point_json(normal), format_scalar(offset)],
+                  **(extra_inputs or {})}
+        for name, exact, ev in battery(rng):
             lhs = ev(P, x) + ev(mid, x)
             rhs = ev(minus, x) + ev(plus, x)
             ok, delta = _check(cfg, lhs, rhs, exact)
@@ -213,10 +218,14 @@ def valuation_suite(cfg: FuzzConfig) -> SuiteResult:
                     return _ev(Q, _x) + _ev(md, _x) != _ev(mi, _x) + _ev(pl, _x)
                 small = shrink_points(list(P.vertices), violates)
                 shrunk = {"vertices": [_point_json(v) for v in small]}
-            rows.append(_row("valuation", name, trial, ok, exact, lhs, rhs,
+            rows.append(_row(suite, name, trial, ok, exact, lhs, rhs,
                              delta, inputs, shrunk))
-    passed = all(r["ok"] for r in rows)
-    return SuiteResult("valuation", rows, passed, _counts(rows))
+    return SuiteResult(suite, rows, all(r["ok"] for r in rows), _counts(rows))
+
+
+def valuation_suite(cfg: FuzzConfig) -> SuiteResult:
+    """The cut identity for the whole operator battery."""
+    return _cut_identity("valuation", cfg, _operator_battery)
 
 
 def euler_relation_suite(cfg: FuzzConfig) -> SuiteResult:
@@ -635,33 +644,9 @@ def closed_forms_suite(cfg: FuzzConfig) -> SuiteResult:
 def fuzz_valuation_identity(expr, cfg: FuzzConfig, exact: bool = True) -> SuiteResult:
     """Cut identity for an arbitrary closed valuation expression."""
     from ..valuations import classified_evaluate
-    rows = []
-    for trial in range(cfg.trials):
-        rng = cfg.trial_rng(trial)
-        n = rng.randint(*cfg.n_range)
-        P = rand_polytope(rng, n, cfg.vertex_count_range,
-                          cfg.coordinate_denominator_bound, full_dim=True)
-        normal, offset = rand_hyperplane(rng, P)
-        x = rand_direction(rng, n)
-        minus, plus, mid = cut(P, normal, offset)
-        lhs = classified_evaluate(P, x, expr) + classified_evaluate(mid, x, expr)
-        rhs = classified_evaluate(minus, x, expr) + classified_evaluate(plus, x, expr)
-        ok, delta = _check(cfg, lhs, rhs, exact)
-        inputs = {"vertices": _poly_json(P), "x": _point_json(x),
-                  "hyperplane": [_point_json(normal), format_scalar(offset)],
-                  "expr": expr.to_dict()}
-        shrunk = None
-        if not ok and exact:
-            def violates(pts, _x=x, _normal=normal, _offset=offset):
-                Q = convex_hull(pts)
-                mi, pl, md = cut(Q, _normal, _offset)
-                return classified_evaluate(Q, _x, expr) + classified_evaluate(md, _x, expr) \
-                    != classified_evaluate(mi, _x, expr) + classified_evaluate(pl, _x, expr)
-            small = shrink_points(list(P.vertices), violates)
-            shrunk = {"vertices": [_point_json(v) for v in small]}
-        rows.append(_row("fuzz_valuation", "expr_cut_identity", trial, ok,
-                         exact, lhs, rhs, delta, inputs, shrunk))
-    return SuiteResult("fuzz_valuation", rows, all(r["ok"] for r in rows), _counts(rows))
+    battery = [("expr_cut_identity", exact, lambda Q, y: classified_evaluate(Q, y, expr))]
+    return _cut_identity("fuzz_valuation", cfg, lambda rng: battery,
+                         {"expr": expr.to_dict()})
 
 
 def fuzz_covariance(expr, group: str, cfg: FuzzConfig, exact: bool = True) -> SuiteResult:

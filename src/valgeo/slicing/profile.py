@@ -49,25 +49,18 @@ class SectionProfile:
                 return k
         return len(self.pieces) - 1
 
-    def value(self, t) -> Fraction:
-        """s(t) with pieces taken on [b_k, b_{k+1}); 0 outside the support."""
+    def section_value(self, t) -> Fraction:
+        """V_{n-1}(P cap H_{x,t}) / |x|, exactly, for every t; 0 outside the support.
+
+        On the open support the profile is continuous, so any piece through t
+        gives s(t).  At the two endpoints the section is the touching face,
+        whose (n-1)-volume is the one-sided limit from inside the body: the
+        first piece at b_0 and the last at b_max, which is what piece_index
+        picks there.
+        """
         t = Fraction(t)
         k = self.piece_index(t)
         return pp.peval(self.pieces[k], t) if k is not None else ZERO
-
-    def section_value(self, t) -> Fraction:
-        """V_{n-1}(P cap H_{x,t}) / |x|, exactly, for every t.
-
-        On the open support the profile is continuous and this is value(t);
-        at the two endpoints the section is the touching face, whose
-        (n-1)-volume is the one-sided limit from inside the body.
-        """
-        t = Fraction(t)
-        if t < self.breakpoints[0] or t > self.breakpoints[-1]:
-            return ZERO
-        if t == self.breakpoints[-1]:
-            return pp.peval(self.pieces[-1], t)
-        return self.value(t)
 
     def mass(self) -> Fraction:
         """integral of s = vol(P), exactly."""

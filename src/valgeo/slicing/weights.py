@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..geometry.linalg import as_scalar, format_scalar
+from ..geometry.linalg import as_scalar, format_scalar, json_shape
 from . import poly as pp
 
 EXACT_KINDS = {"constant", "power", "poly", "indicator", "signed_power", "abs_power"}
@@ -251,28 +251,29 @@ def _make(kind, **kw) -> WeightSpec:
 
 
 def weight_from_dict(payload: dict) -> WeightSpec:
-    kind = payload["kind"]
-    reflect = bool(payload.get("reflect", False))
-    if kind == "constant":
-        return constant(payload.get("c", 1), reflect)
-    if kind == "power":
-        return power(payload["p"], reflect)
-    if kind == "poly":
-        return polynomial(payload["coeffs"], reflect)
-    if kind == "indicator":
-        return indicator(payload["a"], payload["b"], reflect)
-    if kind == "signed_power":
-        return signed_power(payload.get("q", payload.get("p")),
-                            payload.get("side", "pos"), reflect)
-    if kind == "abs_power":
-        return abs_power(payload["p"], reflect)
-    if kind == "exp_neg":
-        return exp_neg(reflect)
-    if kind == "log_abs":
-        return log_abs(reflect)
-    if kind == "tabulated":
-        return tabulated(payload["points"], payload.get("default", 0), reflect)
-    raise ValueError(f"unknown weight kind {kind!r}")
+    with json_shape("weight_from_dict"):
+        kind = payload["kind"]
+        reflect = bool(payload.get("reflect", False))
+        if kind == "constant":
+            return constant(payload.get("c", 1), reflect)
+        if kind == "power":
+            return power(payload["p"], reflect)
+        if kind == "poly":
+            return polynomial(payload["coeffs"], reflect)
+        if kind == "indicator":
+            return indicator(payload["a"], payload["b"], reflect)
+        if kind == "signed_power":
+            return signed_power(payload.get("q", payload.get("p")),
+                                payload.get("side", "pos"), reflect)
+        if kind == "abs_power":
+            return abs_power(payload["p"], reflect)
+        if kind == "exp_neg":
+            return exp_neg(reflect)
+        if kind == "log_abs":
+            return log_abs(reflect)
+        if kind == "tabulated":
+            return tabulated(payload["points"], payload.get("default", 0), reflect)
+        raise ValueError(f"unknown weight kind {kind!r}")
 
 
 class PiecewisePoly:
@@ -362,9 +363,10 @@ def measure(density: WeightSpec | None = None, atoms=()) -> MeasureSpec:
 
 
 def measure_from_dict(payload: dict) -> MeasureSpec:
-    density = payload.get("density")
-    return measure(weight_from_dict(density) if density else None,
-                   payload.get("atoms", ()))
+    with json_shape("measure_from_dict"):
+        density = payload.get("density")
+        return measure(weight_from_dict(density) if density else None,
+                       payload.get("atoms", ()))
 
 
 def lebesgue() -> MeasureSpec:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .geometry.linalg import (
-    Vector, as_scalar, as_vector, format_scalar, vdot, vneg, primitive,
+    Vector, as_scalar, as_vector, format_scalar, json_shape, vdot, vneg, primitive,
 )
 from .geometry.polytope import (
     Polytope, cone_hull, convex_hull, volume, zero_vector,
@@ -271,15 +271,16 @@ class ValuationExpr:
 
 def expr_from_dict(payload: dict) -> ValuationExpr:
     terms = []
-    for d in payload["terms"]:
-        terms.append(Term(
-            op=d["op"],
-            weight=weight_from_dict(d["weight"]) if d.get("weight") else None,
-            measure=measure_from_dict(d["measure"]) if d.get("measure") else None,
-            reflect_body=bool(d.get("reflect_body", False)),
-            cone_hull=bool(d.get("cone_hull", False)),
-            coeff=as_scalar(d.get("coeff", 1)),
-        ))
+    with json_shape("expr_from_dict"):
+        for d in payload["terms"]:
+            terms.append(Term(
+                op=d["op"],
+                weight=weight_from_dict(d["weight"]) if d.get("weight") else None,
+                measure=measure_from_dict(d["measure"]) if d.get("measure") else None,
+                reflect_body=bool(d.get("reflect_body", False)),
+                cone_hull=bool(d.get("cone_hull", False)),
+                coeff=as_scalar(d.get("coeff", 1)),
+            ))
     return ValuationExpr(tuple(terms))
 
 

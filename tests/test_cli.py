@@ -166,6 +166,33 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, case):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("case", ["polytope_without_n", "polytope_list",
+                                  "weight_without_kind", "term_without_op",
+                                  "grid_without_directions"])
+def test_wrong_shape_json_is_one_line_error(t3_file, tmp_path, capsys, case):
+    path = tmp_path / "body.json"
+    if case == "polytope_without_n":
+        path.write_text(json.dumps({"vertices": [["0"]]}))
+        argv = ["hull", "--input", str(path)]
+    elif case == "polytope_list":
+        path.write_text("[1, 2]")
+        argv = ["hull", "--input", str(path)]
+    elif case == "weight_without_kind":
+        argv = ["moment", "--input", t3_file, "--weight", '{"p": 1}']
+    elif case == "term_without_op":
+        argv = ["eval", "--input", t3_file,
+                "--expr", '{"terms": [{"weight": {"kind": "constant"}}]}']
+    else:
+        argv = ["moment", "--input", t3_file, "--weight", '{"kind": "constant"}',
+                "--grid", '{"dirs": [[1, 0, 0]]}']
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("valgeo: error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_grid_options(t3_file):
     code, out = run_cli(["moment", "--input", t3_file,
                          "--weight", '{"kind":"power","p":0}',

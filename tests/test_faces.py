@@ -1,11 +1,18 @@
-"""Face lattices, sign classes, and normal-cone invariants."""
+"""Face lattices, sign classes, and normal-cone invariants.
+
+The lattice reads sign classes off the facet offsets (and calls every face
+mixed when o is off aff P); the references here build the normal cones
+themselves: in-plane facet normals from a Gram solve, plus lin(P)^perp.
+"""
 
 import math
 import random
 from fractions import Fraction
 
-from valgeo.geometry import convex_hull, cube, standard_simplex
-from valgeo.geometry.linalg import vdot
+from valgeo.geometry import (
+    OUTSIDE, RELATIVE_INTERIOR, convex_hull, cube, standard_simplex,
+)
+from valgeo.geometry.linalg import identity_matrix, kernel_basis, rref, vdot, zero_vector
 from valgeo.harness.oracles import affine_dim, brute_face_vertex_sets, brute_facets
 
 
@@ -102,38 +109,59 @@ def test_point_classes():
     assert classes(p) == (set(), set())
 
 
+def _inplane_normals(P):
+    """Per facet, the ambient u in lin(P) acting on aff P as the chart normal
+    does: u.b = rho.project(b) for every chart basis row b (a Gram solve)."""
+    basis = P.chart.basis
+    gram = tuple(tuple(vdot(a, b) for b in basis) for a in basis)
+    rays = []
+    for normal, _ in P.rel_facets:
+        # the Gram matrix is nonsingular: the reduced augmented column is the solution
+        coeffs = [row[-1] for row in rref([g + (c,) for g, c in zip(gram, normal)])[0]]
+        rays.append(tuple(sum((c * b[j] for c, b in zip(coeffs, basis)), Fraction(0))
+                          for j in range(P.n)))
+    return rays
+
+
+def _lineality(P):
+    """A basis of lin(P)^perp, which lies in every normal cone of P."""
+    return kernel_basis(P.chart.basis) if P.chart.basis else identity_matrix(P.n)
+
+
 def test_normal_cone_linearity():
-    # h_P is linear on N(P, F): every stored ray gives u.v == h_P(u) on F
+    # h_P is linear on N(P, F): every facet ray gives u.v == h_P(u) on F,
+    # and h_P is constant along lin(P)^perp
     rng = random.Random(12)
     for trial in range(6):
         n = rng.choice([2, 3])
         pts = [tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                      for _ in range(n)) for _ in range(rng.randint(2, 9))]
         P = convex_hull(pts)
-        lattice = P.face_lattice()
-        for f in lattice.faces:
-            for u in f.normal_cone_rays:
-                vals = {vdot(u, P.vertices[i]) for i in f.vertex_ids}
-                assert vals == {P.support(u)}
-            for w in f.lineality:
-                vals = {vdot(w, v) for v in P.vertices}
-                assert len(vals) == 1
+        rays = _inplane_normals(P)
+        for f in P.face_lattice().faces:
+            for i in f.facet_ids:
+                vals = {vdot(rays[i], P.vertices[v]) for v in f.vertex_ids}
+                assert vals == {P.support(rays[i])}
+        for w in _lineality(P):
+            vals = {vdot(w, v) for v in P.vertices}
+            assert len(vals) == 1
 
 
 def _cone_rule_signs(P):
     """Sign class of each face from h_P on its normal-cone generators.
 
-    The generators are the facets' chart.inplane_normal vectors plus the
-    lineality basis; the facets through a face are found from coordinates.
+    The generators are the in-plane facet normals plus the lineality basis
+    with both signs; the facets through a face are found from coordinates.
     """
     rel = P.rel_vertices()
-    rays = [P.chart.inplane_normal(normal) for normal, _ in P.rel_facets]
+    rays = _inplane_normals(P)
+    lineality = _lineality(P)
     signs = []
     for face in P.face_lattice().faces:
         ref = P.vertices[face.vertex_ids[0]]
         gen = [vdot(u, ref) for u, (normal, offset) in zip(rays, P.rel_facets)
                if all(vdot(normal, rel[v]) == offset for v in face.vertex_ids)]
-        lin = [vdot(w, ref) for w in P.chart.normal_basis]
+        lin = [vdot(w, ref) for w in lineality]
         nonpos = all(v <= 0 for v in gen) and all(v == 0 for v in lin)
         nonneg = all(v >= 0 for v in gen) and all(v == 0 for v in lin)
         signs.append("zero" if nonpos and nonneg else "nonpositive" if nonpos
@@ -142,8 +170,8 @@ def _cone_rule_signs(P):
 
 
 def test_height_sign_matches_cone_rule():
-    # full-dimensional bodies take the offset-sign shortcut; the cone rule
-    # through the in-plane normals is the reference
+    # the lattice reads the offset signs (every face mixed off aff P); the
+    # cone rule through the in-plane normals is the reference
     rng = random.Random(21)
     signs = set()
     for trial in range(30):
@@ -158,8 +186,7 @@ def test_height_sign_matches_cone_rule():
         assert got == _cone_rule_signs(P)
         signs.update(got)
     assert signs == {"zero", "nonpositive", "nonnegative", "mixed"}
-    # lower-dimensional bodies keep the cone rule, where the lineality
-    # directions make it differ from the offset signs
+    # off aff P the lineality directions make every face mixed
     flat = [
         convex_hull([(1, 0, 1), (2, 1, 1), (0, 2, 1)]),   # triangle off o in R^3
         convex_hull([(1, 1), (3, 2)]),                     # segment in R^2
@@ -171,6 +198,70 @@ def test_height_sign_matches_cone_rule():
         assert [f.height_sign for f in P.face_lattice().faces] == _cone_rule_signs(P)
     triangle = flat[0].face_lattice()
     assert {f.height_sign for f in triangle.faces} == {"mixed"}
+
+
+def test_flat_triangles_through_the_origin():
+    # triangles in the plane z = x + y of R^3, which holds o: inside, on an
+    # edge, at a vertex and outside the triangle
+    def lift(p):
+        return (p[0], p[1], p[0] + p[1])
+    cases = {
+        "inside": [(-1, -1), (2, -1), (-1, 2)],
+        "edge": [(-1, 0), (1, 0), (0, 1)],
+        "vertex": [(0, 0), (1, 0), (0, 1)],
+        "outside": [(1, 1), (2, 1), (1, 2)],
+    }
+    for where, tri in cases.items():
+        P = convex_hull([lift(p) for p in tri])
+        assert P.dim == 2 and P.chart.contains(zero_vector(3))
+        got = [f.height_sign for f in P.face_lattice().faces]
+        assert got == _cone_rule_signs(P), where
+        minus, plus = classes(P)
+        if where == "inside":
+            assert minus == {(0, 1, 2)} and len(plus) == 7
+        elif where == "edge":  # vertices (-1,0), (0,1), (1,0) in lex order
+            assert minus == {(0, 2), (0, 1, 2)} and len(plus) == 7
+        elif where == "vertex":
+            assert minus == {(0,), (0, 1), (0, 2), (0, 1, 2)} and len(plus) == 7
+        elif where == "outside":
+            assert "mixed" in got and plus != {f.vertex_ids for f in P.face_lattice().faces}
+
+
+def test_height_sign_on_random_flat_bodies():
+    # lower-dimensional bodies at n = 2..5, half of them with o in aff P
+    rng = random.Random(33)
+    signs, through = set(), 0
+    for trial in range(240):
+        n = 2 + trial % 4
+        k = rng.randint(0, n - 1)
+        dirs = [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n))
+                for _ in range(k)]
+        if trial % 2:  # o in aff P
+            coef = [Fraction(rng.randint(-2, 2)) for _ in dirs]
+            base = tuple(-sum(c * d[j] for c, d in zip(coef, dirs)) for j in range(n))
+        else:
+            base = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n))
+        pts = []
+        for _ in range(rng.randint(1, k + 3)):
+            coef = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in dirs]
+            pts.append(tuple(base[j] + sum(c * d[j] for c, d in zip(coef, dirs))
+                             for j in range(n)))
+        P = convex_hull(pts)
+        assert P.dim < n
+        got = [f.height_sign for f in P.face_lattice().faces]
+        assert got == _cone_rule_signs(P)
+        signs.update(got)
+        through += P.chart.contains(zero_vector(n))
+    assert signs == {"zero", "nonpositive", "nonnegative", "mixed"}
+    assert min(through, 240 - through) >= 80
+
+
+def test_point_body_membership():
+    for v in [(0, 0, 0), (1, -2, 3)]:
+        P = convex_hull([v])
+        assert P.point_membership(v) == RELATIVE_INTERIOR
+        for y in [(1, -2, 4), (0, 0, 1), (2, -4, 6)]:
+            assert P.point_membership(y) == OUTSIDE
 
 
 def test_faces_containing_matches_one_face_form():

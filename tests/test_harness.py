@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from valgeo.geometry import convex_hull, standard_simplex, volume
+from valgeo.geometry import convex_hull, cut, standard_simplex, volume, volume_full
 from valgeo.harness import (
     FuzzConfig, fuzz_covariance, fuzz_valuation_identity, mc_oracle_moment,
     run_suite, shrink_points,
@@ -113,6 +113,26 @@ def test_suites_hold_in_dimension_two():
     assert run_suite("valuation", cfg).passed
     assert run_suite("covariance-gl", cfg).passed
     assert run_suite("euler", cfg).passed
+
+
+def test_cut_identity_reports_violations_with_shrunk_inputs():
+    # vol(P)^2 is not additive: every cut through the body violates it
+    from valgeo.harness.suites import _cut_identity
+
+    def battery(rng):
+        return [("volume_squared", True, lambda P, x: volume_full(P) ** 2)]
+
+    result = _cut_identity("probe", FuzzConfig(seed=7, trials=3, n_range=(2, 2)),
+                           battery, {"note": "vol^2"})
+    bad = result.violations()
+    assert bad and not result.passed
+    for row in bad:
+        assert {"vertices", "x", "hyperplane", "note"} <= set(row["inputs"])
+        (normal, offset) = row["inputs"]["hyperplane"]
+        Q = convex_hull(row["shrunk_inputs"]["vertices"])
+        minus, plus, mid = cut(Q, normal, offset)
+        assert volume_full(Q) ** 2 + volume_full(mid) ** 2 != \
+            volume_full(minus) ** 2 + volume_full(plus) ** 2
 
 
 def test_violation_reporting_carries_inputs():

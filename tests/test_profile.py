@@ -17,15 +17,15 @@ def test_triangle_profile_is_one_minus_t():
     prof = section_profile(standard_simplex(2), (1, 0))
     assert prof.breakpoints == (Fraction(0), Fraction(1))
     assert prof.pieces == ((Fraction(1), Fraction(-1)),)
-    assert prof.value(Fraction(1, 3)) == Fraction(2, 3)
-    assert prof.value(Fraction(-1)) == 0 and prof.value(Fraction(2)) == 0
+    assert prof.section_value(Fraction(1, 3)) == Fraction(2, 3)
+    assert prof.section_value(Fraction(-1)) == 0 and prof.section_value(Fraction(2)) == 0
 
 
 def test_unit_cube_profile_is_prism():
     for n in (1, 2, 3, 4):
         prof = section_profile(cube(n), (1,) + (0,) * (n - 1))
         assert prof.breakpoints == (Fraction(0), Fraction(1))
-        assert prof.value(Fraction(1, 2)) == 1
+        assert prof.section_value(Fraction(1, 2)) == 1
 
 
 def test_profile_mass_equals_volume():
