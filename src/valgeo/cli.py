@@ -31,7 +31,7 @@ from . import __version__
 
 
 def _load_json_arg(text: str) -> dict:
-    if text.lstrip().startswith("{"):
+    if text.lstrip().startswith(("{", "[")):
         return json.loads(text)
     with open(text, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -48,7 +48,7 @@ def _parse_direction(text: str, n: int):
     else:
         x = as_vector([as_scalar(part) for part in text.split(",")])
     if len(x) != n:
-        raise SystemExit(f"direction has {len(x)} components, polytope has n={n}")
+        raise ValueError(f"direction has {len(x)} components, polytope has n={n}")
     return x
 
 
@@ -75,19 +75,19 @@ def _parse_grid(spec: str, n: int, radii: str | None):
             dirs.append(tuple(-c for c in e))
     elif spec.startswith("fib:"):
         if n != 3:
-            raise SystemExit("fibonacci grids are defined for n = 3 only")
+            raise ValueError("fibonacci grids are defined for n = 3 only")
         dirs = _fibonacci_sphere(int(spec.split(":", 1)[1]))
     else:
         payload = _load_json_arg(spec)
         with json_shape("--grid"):
             dirs = [as_vector(d) for d in payload["directions"]]
         if any(len(d) != n for d in dirs):
-            raise SystemExit(f"grid directions must have {n} components")
+            raise ValueError(f"grid directions must have {n} components")
     if radii:
         rs = [as_scalar(r) for r in radii.split(",")]
         dirs = [tuple(r * c for c in d) for d in dirs for r in rs]
     if any(not any(d) for d in dirs):
-        raise SystemExit("grid directions must be nonzero")
+        raise ValueError("grid directions must be nonzero")
     return dirs
 
 
@@ -166,7 +166,7 @@ def cmd_profile(args, out) -> int:
 def cmd_moment(args, out) -> int:
     P = _load_polytope(args.input)
     if (args.weight is None) == (args.measure is None):
-        raise SystemExit("moment needs exactly one of --weight / --measure")
+        raise ValueError("moment needs exactly one of --weight / --measure")
     dirs = _parse_grid(args.grid, P.n, args.radii)
 
     if args.measure is not None:
@@ -202,10 +202,10 @@ def cmd_body(args, out) -> int:
     kind = args.kind or args.kind_pos
     args.kind = kind
     if kind not in BODY_KINDS:
-        raise SystemExit(f"unknown body kind {kind!r}; "
+        raise ValueError(f"unknown body kind {kind!r}; "
                          f"choose from {sorted(BODY_KINDS)}")
     if kind in BODY_KINDS_WITH_P and args.p is None:
-        raise SystemExit(f"body {kind} needs --p")
+        raise ValueError(f"body {kind} needs --p")
     dirs = _parse_grid(args.grid, P.n, args.radii)
     p = as_scalar(args.p) if args.p is not None else None
 
@@ -339,8 +339,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args, sys.stdout)
     except (ValueError, OSError) as exc:
-        # bad input (a file, its JSON, a body an operator rejects): one line,
-        # in argparse's format and with its exit code
+        # bad input (a file, its JSON, an argument, a body an operator
+        # rejects): one line, in argparse's format and with its exit code
         print(f"valgeo: error: {exc}", file=sys.stderr)
         return 2
 

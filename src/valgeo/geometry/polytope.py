@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import (
     Matrix,
@@ -104,117 +103,73 @@ class _WorkFacet:
     members: set[int]
 
 
-def _hyperplane_through(points: list[Vector]) -> tuple[Vector, Scalar] | None:
-    """Normal/offset of the unique hyperplane through affinely spanning points."""
-    base = points[0]
-    diffs = [vsub(p, base) for p in points[1:]]
-    kern = kernel_basis(diffs) if diffs else kernel_basis([zero_vector(len(base))])
-    if len(kern) != 1:
-        return None
-    normal = primitive(kern[0])
-    return normal, vdot(normal, base)
+def _hull_full_dim(points: list[Vector]) -> list[_WorkFacet]:
+    """Beneath-beyond hull of full-dimensional points in their own space.
 
+    Points are added in order.  After the first simplex the loop is pure
+    incidence code, resting on one invariant: a facet's ``members`` are all
+    kept points on its hyperplane (a point inside the hull when it comes is
+    dropped, and the hull is the hull of the kept points).  For the point p
+    and a facet f write s_f = u_f.p - c_f; take f visible (s_f > 0), g
+    invisible (s_g < 0) and R = f.members & g.members.
 
-def _hull_full_dim(points: list[Vector], order: list[int]) -> list[_WorkFacet]:
-    """Beneath-beyond hull of full-dimensional points in their own space."""
+    - Ridge: R spans a ridge iff |R| >= k - 1 and no third facet's members
+      contain R.  A ridge lies in exactly two facets; a nonempty face of
+      dimension <= k - 3 lies in at least three.
+    - New facet: u = primitive(s_f u_g - s_g u_f), c = u.p.  It vanishes on
+      R and at p; as a positive combination of two outward normals it is
+      <= c on the old hull, with equality exactly on f and g, so it points
+      outward and meets the old hull in the ridge alone.
+    - Members: R | {p}, as the kept points on that ridge are R.
+    """
     k = len(points[0])
-    if k == 1:
-        lo = min(order, key=lambda i: points[i][0])
-        hi = max(order, key=lambda i: points[i][0])
-        return [
-            _WorkFacet((Fraction(-1),), -points[lo][0], {lo}),
-            _WorkFacet((Fraction(1),), points[hi][0], {hi}),
-        ]
-
-    # initial simplex: greedily grow an affinely independent subset
-    simplex = [order[0]]
-    for idx in order[1:]:
-        trial = simplex + [idx]
-        diffs = [vsub(points[i], points[trial[0]]) for i in trial[1:]]
-        if len(rref(diffs)[1]) == len(trial) - 1:
-            simplex = trial
-        if len(simplex) == k + 1:
-            break
+    # first simplex: greedily grow an affinely independent subset
+    simplex = [0]
+    for idx in range(1, len(points)):
+        diffs = [vsub(points[i], points[0]) for i in simplex[1:] + [idx]]
+        if len(rref(diffs)[1]) == len(simplex):
+            simplex.append(idx)
+            if len(simplex) == k + 1:
+                break
     assert len(simplex) == k + 1
 
-    interior = vscale(Fraction(1, k + 1),
-                      tuple(sum(points[i][j] for i in simplex) for j in range(k)))
-
-    facets: dict = {}
-    for drop in range(k + 1):
-        members = [simplex[i] for i in range(k + 1) if i != drop]
-        plane = _hyperplane_through([points[i] for i in members])
-        assert plane is not None
-        normal, offset = plane
-        if vdot(normal, interior) > offset:
+    facets = []
+    for drop in simplex:
+        members = [i for i in simplex if i != drop]
+        base = points[members[0]]
+        diffs = [vsub(points[i], base) for i in members[1:]] or [zero_vector(k)]
+        normal = primitive(kernel_basis(diffs)[0])
+        offset = vdot(normal, base)
+        if vdot(normal, points[drop]) > offset:
             normal, offset = vneg(normal), -offset
-        facets[(normal, offset)] = _WorkFacet(normal, offset, set(members))
+        facets.append(_WorkFacet(normal, offset, set(members)))
 
-    inserted = set(simplex)
-    for idx in order:
-        if idx in inserted:
+    for idx, p in enumerate(points):
+        if idx in simplex:
             continue
-        inserted.add(idx)
-        p = points[idx]
-        visible, invisible, coplanar = [], [], []
-        for f in facets.values():
-            side = vdot(f.normal, p) - f.offset
-            if side > 0:
-                visible.append(f)
-            elif side == 0:
-                coplanar.append(f)
-            else:
-                invisible.append(f)
-        if not visible:
+        sides = [vdot(f.normal, p) - f.offset for f in facets]
+        if all(s <= 0 for s in sides):
             continue  # p inside the current hull (possibly on its boundary)
-        for f in coplanar:
-            f.members.add(idx)
-        known = set().union(*(f.members for f in facets.values()))
-        new_facets: dict = {}
-        for f in visible:
-            # horizon ridges: shared (k-2)-faces with strictly invisible facets;
-            # ridges shared with coplanar facets are covered by extending those
-            for g in invisible:
+        # horizon ridges are shared with strictly invisible facets; ridges
+        # shared with coplanar facets are covered by extending those
+        new_facets = []
+        for f, s_f in zip(facets, sides):
+            if s_f <= 0:
+                continue
+            for g, s_g in zip(facets, sides):
+                if s_g >= 0:
+                    continue
                 ridge = f.members & g.members
-                if len(ridge) < k - 1:
+                if len(ridge) < k - 1 or any(
+                        ridge <= h.members for h in facets if h is not f and h is not g):
                     continue
-                rpts = [points[i] for i in sorted(ridge)]
-                diffs = [vsub(q, rpts[0]) for q in rpts[1:]]
-                if len(rref(diffs)[1]) != k - 2:
-                    continue
-                plane = _hyperplane_through(_independent_subset(rpts, k - 2) + [p])
-                if plane is None:
-                    continue
-                normal, offset = plane
-                if vdot(normal, interior) > offset:
-                    normal, offset = vneg(normal), -offset
-                key = (normal, offset)
-                members = {i for i in known | {idx}
-                           if vdot(normal, points[i]) == offset}
-                if key in new_facets:
-                    new_facets[key].members |= members
-                else:
-                    new_facets[key] = _WorkFacet(normal, offset, members)
-        for f in visible:
-            del facets[(f.normal, f.offset)]
-        for key, f in new_facets.items():
-            if key in facets:
-                facets[key].members |= f.members
-            else:
-                facets[key] = f
-    return list(facets.values())
-
-
-def _independent_subset(pts: list[Vector], target_rank: int) -> list[Vector]:
-    """Affinely independent subset of pts spanning their hull (rank target_rank)."""
-    chosen = [pts[0]]
-    for p in pts[1:]:
-        diffs = [vsub(q, chosen[0]) for q in chosen[1:]] + [vsub(p, chosen[0])]
-        if len(rref(diffs)[1]) == len(chosen):
-            chosen.append(p)
-        if len(chosen) == target_rank + 1:
-            break
-    return chosen
+                normal = primitive(vsub(vscale(s_f, g.normal), vscale(s_g, f.normal)))
+                new_facets.append(_WorkFacet(normal, vdot(normal, p), ridge | {idx}))
+        for f, s in zip(facets, sides):
+            if s == 0:
+                f.members.add(idx)
+        facets = [f for f, s in zip(facets, sides) if s <= 0] + new_facets
+    return facets
 
 
 class Polytope:
@@ -362,16 +317,15 @@ def convex_hull(points, max_vertices: int = DEFAULT_MAX_VERTICES) -> Polytope:
         return Polytope(n, (pts[0],), chart, (), ())
 
     rel_pts = [chart.project(p) for p in pts]
-    facets = _hull_full_dim(rel_pts, list(range(len(rel_pts))))
+    facets = _hull_full_dim(rel_pts)
 
     # prune facet member lists down to true vertices: a point is a vertex
-    # iff the normals of the facets through it span the chart space
-    by_point: dict[int, list[Vector]] = {}
+    # iff the members of the facets through it meet in that point alone
+    meets: dict[int, set[int]] = {}
     for f in facets:
         for i in f.members:
-            by_point.setdefault(i, []).append(f.normal)
-    vertex_ids = sorted(i for i, normals in by_point.items()
-                        if len(rref(normals)[1]) == k)
+            meets[i] = meets[i] & f.members if i in meets else set(f.members)
+    vertex_ids = sorted(i for i, meet in meets.items() if len(meet) == 1)
     keep = set(vertex_ids)
     vertices = tuple(pts[i] for i in vertex_ids)
 

@@ -11,8 +11,6 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from ..geometry.linalg import Vector, kernel_basis, primitive, vdot, vsub, zero_vector
 from ..geometry.polytope import Polytope
 from ..slicing.weights import WeightSpec
@@ -73,6 +71,8 @@ def mc_oracle_moment(P: Polytope, x, weight: WeightSpec, samples: int,
     Uniform rejection sampling in the bounding box of P; membership is the
     exact facet system evaluated in floats.
     """
+    import numpy as np
+
     verts = np.array([[float(c) for c in v] for v in P.vertices])
     lo, hi = verts.min(axis=0), verts.max(axis=0)
     box_vol = float(np.prod(hi - lo))
@@ -90,8 +90,10 @@ def mc_oracle_moment(P: Polytope, x, weight: WeightSpec, samples: int,
     return box_vol * mean, box_vol * stderr
 
 
-def weight_values_array(weight: WeightSpec, t: np.ndarray) -> np.ndarray:
-    """Vectorized zeta(t) for the oracle; mirrors WeightSpec.value."""
+def weight_values_array(weight: WeightSpec, t):
+    """Vectorized zeta(t) on a numpy array for the oracle; mirrors WeightSpec.value."""
+    import numpy as np
+
     if weight.reflect:
         t = -t
     kind = weight.kind

@@ -64,16 +64,12 @@ def _compare(lhs, rhs, exact: bool, tol: float) -> tuple[bool, str]:
         delta = lhs - rhs
         return delta == 0, _fmt(delta)
     lf, rf = float(lhs), float(rhs)
+    if lf == rf:  # also two equal infinities, whose difference is nan
+        return True, "0.0"
     scale_ref = max(abs(lf), abs(rf), 1e-30)
     rel = abs(lf - rf) / scale_ref
     ok = rel <= tol or abs(lf - rf) <= tol * 1e-6
     return ok, repr(rel)
-
-
-def _check(cfg: FuzzConfig, lhs, rhs, exact: bool):
-    """Compare under the config: exact paths demand delta == 0, float paths
-    use the relative tolerance."""
-    return _compare(lhs, rhs, exact, cfg.tolerance_float)
 
 
 def _point_json(v) -> list[str]:
@@ -209,7 +205,7 @@ def _cut_identity(suite: str, cfg: FuzzConfig, battery,
         for name, exact, ev in battery(rng):
             lhs = ev(P, x) + ev(mid, x)
             rhs = ev(minus, x) + ev(plus, x)
-            ok, delta = _check(cfg, lhs, rhs, exact)
+            ok, delta = _compare(lhs, rhs, exact, cfg.tolerance_float)
             shrunk = None
             if not ok and exact:
                 def violates(pts, _ev=ev, _x=x, _normal=normal, _offset=offset):
@@ -251,7 +247,7 @@ def euler_relation_suite(cfg: FuzzConfig) -> SuiteResult:
             zeta = rand_tabulated_weight(rng, anchors)
         lhs = euler_op(P, x, zeta, EULER_ALL)
         rhs = zeta.value(-P.support(vneg(x)))
-        ok, delta = _check(cfg, lhs, rhs, True)
+        ok, delta = _compare(lhs, rhs, True, cfg.tolerance_float)
         inputs = {"vertices": _poly_json(P), "x": _point_json(x),
                   "weight": zeta.to_dict()}
         shrunk = None
@@ -330,7 +326,7 @@ def fubini_suite(cfg: FuzzConfig) -> SuiteResult:
         zeta = rand_polynomial_weight(rng)
         lhs = moment_transform(P, x, zeta)
         rhs = prof.integrate_against(zeta)
-        ok, delta = _check(cfg, lhs, rhs, True)
+        ok, delta = _compare(lhs, rhs, True, cfg.tolerance_float)
         rows.append(_row("fubini", "polynomial_exact", trial, ok, True,
                          lhs, rhs, delta, inputs))
 
@@ -390,7 +386,7 @@ def covariance_suite(cfg: FuzzConfig, group: str = "SL") -> SuiteResult:
         for name, exact, ev in ops:
             lhs = ev(phiP, x)
             rhs = ev(P, phit_x)
-            ok, delta = _check(cfg, lhs, rhs, exact)
+            ok, delta = _compare(lhs, rhs, exact, cfg.tolerance_float)
             rows.append(_row(f"covariance_{group}", name, trial, ok, exact,
                              lhs, rhs, delta, inputs))
     name = f"covariance_{group}"
@@ -425,7 +421,7 @@ def homogeneity_suite(cfg: FuzzConfig) -> SuiteResult:
             wq = W.signed_power(q_mom - n, "pos")
             lhs = moment_transform(aP, x, wq)
             rhs = alpha ** q_mom * moment_transform(P, x, wq)
-            ok, delta = _check(cfg, lhs, rhs, True)
+            ok, delta = _compare(lhs, rhs, True, cfg.tolerance_float)
             rows.append(_row("homogeneity", f"moment_density_q{q_mom}", trial,
                              ok, True, lhs, rhs, delta, inputs))
             # fractional degree: float path within 1e-9
@@ -501,7 +497,7 @@ def dissection_suite(cfg: FuzzConfig, dims=(2, 3), scales=(Fraction(1, 2), Fract
                     for name, exact, ev in _operator_battery(rng):
                         lhs = ev(T, x) + ev(mid, x)
                         rhs = ev(minus, x) + ev(plus, x)
-                        ok, delta = _check(cfg, lhs, rhs, exact)
+                        ok, delta = _compare(lhs, rhs, exact, cfg.tolerance_float)
                         rows.append(_row("dissection", name, trial, ok, exact,
                                          lhs, rhs, delta, inputs))
                     trial += 1
@@ -524,7 +520,7 @@ def eu4_suite(cfg: FuzzConfig) -> SuiteResult:
         C = cone_hull(P)
         lhs = euler_op(P, x, zeta, EULER_MINUS) - euler_op(C, x, zeta, EULER_MINUS)
         rhs = zeta.value(-P.support(vneg(x))) - zeta.value(-C.support(vneg(x)))
-        ok, delta = _check(cfg, lhs, rhs, True)
+        ok, delta = _compare(lhs, rhs, True, cfg.tolerance_float)
         inputs = {"vertices": _poly_json(P), "x": _point_json(x),
                   "weight": zeta.to_dict()}
         rows.append(_row("eu4", "cone_hull_drop", trial, ok, True, lhs, rhs,
@@ -603,7 +599,7 @@ def cone_volume_suite(cfg: FuzzConfig) -> SuiteResult:
         rhs = ZERO
         for normal, _unit, mass in atoms:
             rhs += mass * zeta.value(-P.support(vneg(normal)) / L.support(normal))
-        ok, delta = _check(cfg, lhs, rhs, True)
+        ok, delta = _compare(lhs, rhs, True, cfg.tolerance_float)
         rows.append(_row("cone_volume", "integrated_euler", trial, ok, True,
                          lhs, rhs, delta,
                          {"L": _poly_json(L), "P": _poly_json(P),
@@ -663,7 +659,7 @@ def fuzz_covariance(expr, group: str, cfg: FuzzConfig, exact: bool = True) -> Su
             else rand_glplus_matrix(rng, n)
         lhs = classified_evaluate(apply_linear(P, phi), x, expr)
         rhs = classified_evaluate(P, mat_vec(transpose(phi), x), expr)
-        ok, delta = _check(cfg, lhs, rhs, exact)
+        ok, delta = _compare(lhs, rhs, exact, cfg.tolerance_float)
         inputs = {"vertices": _poly_json(P), "x": _point_json(x),
                   "phi": [_point_json(r) for r in phi], "expr": expr.to_dict()}
         rows.append(_row("fuzz_covariance", f"expr_{group}", trial, ok, exact,

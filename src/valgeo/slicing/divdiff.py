@@ -109,7 +109,7 @@ def float_value(form, f, levels: int) -> mpf:
         return mp.fsum(_to_mpf(c) * f(h, k) for (h, k), c in form.items())
 
 
-def divided_difference(nodes, antideriv, exact: bool | None = None):
+def divided_difference(nodes, antideriv):
     """Newton divided difference of an antiderivative spec over nodes.
 
     ``antideriv`` is either an exact piecewise polynomial (has
@@ -118,10 +118,8 @@ def divided_difference(nodes, antideriv, exact: bool | None = None):
     so confluence is exact and the precision follows the exact node gaps;
     the callable is called with the nodes as given.
     """
-    if exact is None:
-        exact = hasattr(antideriv, "deriv_value")
     given = {Fraction(z): z for z in nodes}
     form = dd_weights(sorted(Fraction(z) for z in nodes))
-    if exact:
+    if hasattr(antideriv, "deriv_value"):
         return exact_value(form, antideriv)
     return float_value(form, lambda h, k: antideriv(given[h], k), len(nodes) - 1)

@@ -29,10 +29,6 @@ def padd(a: Poly, b: Poly) -> Poly:
     return normalize(out)
 
 
-def psub(a: Poly, b: Poly) -> Poly:
-    return padd(a, pscale(Fraction(-1), b))
-
-
 def pscale(c, a: Poly) -> Poly:
     c = Fraction(c)
     if c == 0:

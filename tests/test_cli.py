@@ -20,6 +20,17 @@ def run_cli(args):
     return code, out.getvalue()
 
 
+def assert_one_line_error(capsys, argv):
+    """Exit code 2, nothing on stdout, one `valgeo: error:` line on stderr."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("valgeo: error: ")
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
 @pytest.fixture
 def t3_file(tmp_path):
     path = tmp_path / "t3.json"
@@ -93,15 +104,15 @@ def test_moment_command_float_has_error_column(t3_file):
     assert all(float(r[-1]) < 1e-8 for r in rows)
 
 
-def test_moment_command_with_measure(t3_file):
+def test_moment_command_with_measure(t3_file, capsys):
     code, out = run_cli(["moment", "--input", t3_file,
                          "--measure", '{"density": {"kind":"constant","c":"1"}, "atoms": [["0","1"]]}',
                          "--grid", '{"directions": [["1","0","0"]]}'])
     line = out.splitlines()[1]
     # volume 1/6 plus the section value s(0) = 1/2 at the origin atom
     assert line == "1,0,0,2/3,"
-    with pytest.raises(SystemExit):
-        run_cli(["moment", "--input", t3_file, "--grid", "axes"])
+    err = assert_one_line_error(capsys, ["moment", "--input", t3_file, "--grid", "axes"])
+    assert "exactly one of --weight / --measure" in err
 
 
 def test_body_laplace_matches_product_formula(tmp_path):
@@ -135,9 +146,9 @@ def test_body_and_eval_commands(t3_file, tmp_path):
 
 
 @pytest.mark.parametrize("kind", ["moment", "polar_moment", "difference"])
-def test_body_without_p_is_rejected(t3_file, kind):
-    with pytest.raises(SystemExit, match="--p"):
-        run_cli(["body", kind, "--input", t3_file, "--grid", "axes"])
+def test_body_without_p_is_rejected(t3_file, capsys, kind):
+    err = assert_one_line_error(capsys, ["body", kind, "--input", t3_file, "--grid", "axes"])
+    assert "--p" in err
 
 
 @pytest.mark.parametrize("case", ["too_many_points", "flat_profile",
@@ -168,7 +179,8 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, case):
 
 @pytest.mark.parametrize("case", ["polytope_without_n", "polytope_list",
                                   "weight_without_kind", "term_without_op",
-                                  "grid_without_directions"])
+                                  "grid_without_directions", "direction_length",
+                                  "grid_length", "fib_grid_off_n3", "measure_list"])
 def test_wrong_shape_json_is_one_line_error(t3_file, tmp_path, capsys, case):
     path = tmp_path / "body.json"
     if case == "polytope_without_n":
@@ -182,26 +194,32 @@ def test_wrong_shape_json_is_one_line_error(t3_file, tmp_path, capsys, case):
     elif case == "term_without_op":
         argv = ["eval", "--input", t3_file,
                 "--expr", '{"terms": [{"weight": {"kind": "constant"}}]}']
+    elif case == "direction_length":
+        argv = ["profile", "--input", t3_file, "--direction", "1,0"]
+    elif case == "fib_grid_off_n3":
+        path.write_text(polytope_to_json(standard_simplex(2)))
+        argv = ["moment", "--input", str(path), "--weight", '{"kind": "constant"}',
+                "--grid", "fib:5"]
+    elif case == "measure_list":
+        argv = ["moment", "--input", t3_file, "--measure", "[1]"]
     else:
+        grid = {"grid_without_directions": '{"dirs": [[1, 0, 0]]}',
+                "grid_length": '{"directions": [[1, 0]]}'}[case]
         argv = ["moment", "--input", t3_file, "--weight", '{"kind": "constant"}',
-                "--grid", '{"dirs": [[1, 0, 0]]}']
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("valgeo: error: ")
-    assert captured.err.count("\n") == 1
+                "--grid", grid]
+    err = assert_one_line_error(capsys, argv)
+    assert "No such file" not in err
 
 
-def test_grid_options(t3_file):
+def test_grid_options(t3_file, capsys):
     code, out = run_cli(["moment", "--input", t3_file,
                          "--weight", '{"kind":"power","p":0}',
                          "--grid", "fib:5", "--radii", "1,2"])
     assert len(out.splitlines()) == 11
-    with pytest.raises(SystemExit):
-        run_cli(["moment", "--input", t3_file,
-                 "--weight", '{"kind":"power","p":0}',
-                 "--grid", '{"directions": [["0","0","0"]]}'])
+    err = assert_one_line_error(capsys, ["moment", "--input", t3_file,
+                                         "--weight", '{"kind":"power","p":0}',
+                                         "--grid", '{"directions": [["0","0","0"]]}'])
+    assert "nonzero" in err
 
 
 def test_outputs_are_byte_identical(t3_file):
@@ -237,3 +255,14 @@ def test_json_format(t3_file):
     payload = json.loads(out)
     assert len(payload) == 6
     assert {"x1", "x2", "x3", "value", "error"} <= set(payload[0])
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy serves only the Monte-Carlo oracle; loading it costs memory and
+    # start-up time on every command
+    import subprocess
+    import sys
+    probe = "import sys, valgeo.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

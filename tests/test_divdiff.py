@@ -38,8 +38,8 @@ def test_confluent_matches_perturbed_nodes():
     exact_nodes = [Fraction(1), Fraction(1), Fraction(1), Fraction(2)]
     eps = Fraction(1, 10 ** 5)
     perturbed = [Fraction(1) - eps, Fraction(1), Fraction(1) + eps, Fraction(2)]
-    confluent = divided_difference(exact_nodes, antideriv, exact=False)
-    spread = divided_difference(perturbed, antideriv, exact=False)
+    confluent = divided_difference(exact_nodes, antideriv)
+    spread = divided_difference(perturbed, antideriv)
     assert abs(float(confluent) - float(spread)) < 1e-7
 
 

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from valgeo.geometry import convex_hull, cube, volume
-from valgeo.geometry.linalg import unit_vector, vneg, vdot
+from valgeo.geometry.linalg import rref, unit_vector, vneg, vdot
 from valgeo.harness.oracles import brute_facets
 
 
@@ -101,3 +101,59 @@ def test_six_dimensional_simplex_with_noise_points():
     P = convex_hull(pts + [centroid])
     assert len(P.vertices) == 7
     assert volume(P) == Fraction(1, math.factorial(6))
+
+
+def _grid_sets(rng, n, count, sizes, values=(-1, 0, 1)):
+    return [[tuple(Fraction(rng.choice(values)) for _ in range(n))
+             for _ in range(rng.randint(*sizes))] for _ in range(count)]
+
+
+def test_hull_sweep_matches_brute_oracles():
+    # heavy coplanarity: small grids, where horizon ridges are often shared by
+    # more than two facets' member sets and points often land on facets
+    rng = random.Random(2024)
+    sets = (_grid_sets(rng, 2, 40, (3, 9)) + _grid_sets(rng, 3, 40, (5, 12))
+            + _grid_sets(rng, 4, 48, (8, 12)) + _grid_sets(rng, 5, 12, (9, 11)))
+    full = 0
+    for pts in sets:
+        n = len(pts[0])
+        P = convex_hull(pts)
+        if P.dim != n:
+            continue
+        full += 1
+        distinct = sorted(set(pts))
+        facets = brute_facets(distinct)
+        assert set(P.facets_ambient()) == facets
+        vertices = [p for p in distinct
+                    if len(rref([u for u, c in facets if vdot(u, p) == c])[1]) == n]
+        assert list(P.vertices) == vertices
+        for (u, c), members in zip(P.facets_ambient(), P.facet_members):
+            assert members == tuple(i for i, v in enumerate(P.vertices) if vdot(u, v) == c)
+    assert full >= 100
+
+
+def test_flat_hull_sweep_is_an_affine_image():
+    # an injective integer affine map carries vertices to vertices and facets
+    # to facets of the image, which is flat in the larger space
+    rng = random.Random(2025)
+    checked = 0
+    for k, n in [(1, 2), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)] * 8:
+        pts = _grid_sets(rng, k, 1, (k + 2, 10))[0]
+        P = convex_hull(pts)
+        if P.dim != k:
+            continue
+        while True:
+            m = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(k)) for _ in range(n)]
+            if len(rref(m)[1]) == k:
+                break
+        t = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
+
+        def image(p):
+            return tuple(vdot(row, p) + s for row, s in zip(m, t))
+
+        Q = convex_hull([image(p) for p in pts])
+        assert Q.dim == k
+        assert set(Q.vertices) == {image(v) for v in P.vertices}
+        assert len(Q.rel_facets) == len(P.rel_facets)
+        checked += 1
+    assert checked >= 40
