@@ -11,7 +11,7 @@ from .geometry import (
     standard_simplex, cube, polytope_to_json, polytope_from_json,
 )
 from .slicing import (
-    WeightSpec, MeasureSpec, SectionProfile, section_profile,
+    WeightSpec, MeasureSpec, SectionProfile, section_at, section_profile,
     quadrature_against_profile, simplex_moment, moment_transform,
     measure_transform, laplace_transform, divided_difference, weights,
 )

@@ -318,6 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 # argparse reads a value such as "-3,1,2" or "-1/2" after a space as an option
 SIGNED_VALUE_OPTIONS = ("--direction", "--p")
 
@@ -335,7 +338,7 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_attach_signed_values(argv))
+    args = _PARSER.parse_args(_attach_signed_values(argv))
     try:
         return args.fn(args, sys.stdout)
     except (ValueError, OSError) as exc:

@@ -33,6 +33,7 @@ aff P.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,7 +65,9 @@ class Face:
 class FaceLattice:
     def __init__(self, P: "pt.Polytope", faces: list[Face],
                  children: dict[tuple[int, ...], list[Face]]):
-        self.polytope = P
+        # P caches its lattice, so a strong reference back would make every
+        # body a reference cycle, whose caches only the cyclic collector frees
+        self.polytope = weakref.proxy(P)
         self.faces = faces
         self._children = children  # vertex_ids -> child faces, in faces order
 
@@ -78,7 +81,7 @@ class FaceLattice:
         return self._children[face.vertex_ids]
 
     def f_vector(self) -> tuple[int, ...]:
-        counts = [0] * (self.polytope.dim + 1)
+        counts = [0] * (self.top().dim + 1)
         for f in self.faces:
             counts[f.dim] += 1
         return tuple(counts)

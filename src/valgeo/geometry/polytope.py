@@ -191,6 +191,7 @@ class Polytope:
         self._triangulation = None
         self._normalized_volumes = None
         self._cone_hull = None
+        self._height_forms = {}  # direction -> height form, see slicing.divdiff
 
     # -- basic descriptors -------------------------------------------------
 
@@ -420,30 +421,34 @@ def cut(P: Polytope, normal, offset) -> tuple[Polytope | None, Polytope | None, 
 
 def _pulling_triangulation(P: Polytope) -> list[tuple[int, ...]]:
     lattice = P.face_lattice()
-    cache: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-
-    def tri(face) -> list[tuple[int, ...]]:
-        key = face.vertex_ids
-        if key in cache:
-            return cache[key]
-        if face.dim == 0:
-            out = [face.vertex_ids]
-        else:
-            rel_pts = {i: P.chart.project(P.vertices[i]) for i in face.vertex_ids}
-            apex = min(face.vertex_ids, key=lambda i: rel_pts[i])
-            out = []
-            for child in lattice.children(face):
-                if apex in child.vertex_ids:
-                    continue
-                for simplex in tri(child):
-                    out.append(tuple(sorted((apex,) + simplex)))
-        cache[key] = out
-        return out
-
-    simplices = tri(lattice.top())
+    simplices = _pull(P, lattice, lattice.top(), {})
     # drop degenerate cones (apex inside the child's affine hull cannot occur
     # for pulling from a vertex, but keep the guard cheap and explicit)
     return [s for s in simplices if len(s) == P.dim + 1]
+
+
+def _pull(P: Polytope, lattice, face, cache) -> list[tuple[int, ...]]:
+    """Pulling triangulation of one face, memoized in cache by vertex ids.
+
+    A module-level function, not a recursive closure: a closure that calls
+    itself is a reference cycle that would keep P and its caches alive.
+    """
+    key = face.vertex_ids
+    if key in cache:
+        return cache[key]
+    if face.dim == 0:
+        out = [face.vertex_ids]
+    else:
+        rel_pts = {i: P.chart.project(P.vertices[i]) for i in face.vertex_ids}
+        apex = min(face.vertex_ids, key=lambda i: rel_pts[i])
+        out = []
+        for child in lattice.children(face):
+            if apex in child.vertex_ids:
+                continue
+            for simplex in _pull(P, lattice, child, cache):
+                out.append(tuple(sorted((apex,) + simplex)))
+    cache[key] = out
+    return out
 
 
 def triangulate(P: Polytope) -> list[tuple[Vector, ...]]:

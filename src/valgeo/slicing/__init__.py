@@ -1,6 +1,8 @@
 from . import weights
 from .weights import WeightSpec, MeasureSpec
-from .profile import SectionProfile, section_profile, quadrature_against_profile
+from .profile import (
+    SectionProfile, section_at, section_profile, quadrature_against_profile,
+)
 from .moments import (
     simplex_moment, moment_transform, measure_transform, laplace_transform,
 )

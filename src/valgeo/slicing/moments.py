@@ -13,8 +13,8 @@ The same machinery evaluates the section-measure transform
 
     M_mu P(x) = (1/|x|) integral V_{n-1}(P cap H_{x,t}) dmu(t)
 
-whose density part reduces to M_zeta by Fubini and whose atoms read the
-exact section profile.  Both maps are simple: they vanish on
+whose density part reduces to M_zeta by Fubini and whose atoms are exact
+point sections s(t) of the same form.  Both maps are simple: they vanish on
 lower-dimensional bodies, which the cut identity tests rely on.
 """
 
@@ -23,12 +23,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from mpmath import mpf, exp as mpexp, log as mplog, power as mppower
-
 from ..geometry.linalg import as_vector, is_zero_vector, vdot, vneg
 from ..geometry.polytope import Polytope, simplex_volume, volume
 from .divdiff import _to_mpf, dd_weights, exact_value, float_value, height_form
-from .profile import section_profile
+from .profile import section_at
 from .weights import MeasureSpec, WeightSpec
 
 ZERO = Fraction(0)
@@ -37,7 +35,7 @@ ZERO = Fraction(0)
 # -- float-path antiderivatives ----------------------------------------------
 
 
-def _harmonic(k: int) -> mpf:
+def _harmonic(k: int):
     return _to_mpf(sum(Fraction(1, i) for i in range(1, k + 1)))
 
 
@@ -49,6 +47,8 @@ def _float_antideriv(weight: WeightSpec, m: int):
     Height 0 is a node at most m times on a full-dimensional simplex, so
     every requested order has k = m - order >= 1 and F^(order)(0) = 0.
     """
+    from mpmath import mpf, exp as mpexp, log as mplog, power as mppower
+
     kind = weight.kind
     if kind == "exp_neg":
         def f(t, order):
@@ -153,9 +153,9 @@ def measure_transform(P: Polytope, x, mu: MeasureSpec):
     """M_mu P(x) = (1/|x|) integral V_{n-1}(P cap H_{x,t}) dmu(t).
 
     The density part is M_density P(x) by Fubini; atoms c at t contribute
-    c V_{n-1}(P cap H_{x,t})/|x| = c s(t) read off the exact section
-    profile.  Continuous measures see 0 on lower-dimensional bodies; atoms
-    there are distributional and rejected.
+    c V_{n-1}(P cap H_{x,t})/|x| = c s(t), each an exact point section.
+    Continuous measures see 0 on lower-dimensional bodies; atoms there are
+    distributional and rejected.
     """
     x = as_vector(x)
     if is_zero_vector(x):
@@ -170,10 +170,8 @@ def measure_transform(P: Polytope, x, mu: MeasureSpec):
     total = ZERO if (mu.density is None or mu.density.is_exact) else 0.0
     if mu.density is not None:
         total = moment_transform(P, x, mu.density)
-    if mu.atoms:
-        prof = section_profile(P, x)
-        for t, c in mu.atoms:
-            total += c * prof.section_value(t)
+    for t, c in mu.atoms:
+        total += c * section_at(P, x, t)
     return total
 
 

@@ -13,7 +13,8 @@ s(t) is the moment of P for the point mass at height t, whose n-th
 antiderivative is F(a) = (a - t)_+^{n-1}/(n-1)!, so it evaluates the exact
 height form {(h, k): c} of (P, x) with F^(k)(h) = (h - t)_+^{n-1-k}/(n-1-k)!.
 On the piece (b_i, b_{i+1}) exactly the heights h >= b_{i+1} contribute, so
-one right-to-left sweep over the heights builds every piece.
+one right-to-left sweep over the heights builds every piece.  A single
+value s(t) needs no pieces: ``section_at`` sums the same terms at t.
 """
 
 from __future__ import annotations
@@ -75,13 +76,39 @@ class SectionProfile:
         return integrate_pieces_product(self, zeta)
 
 
-def section_profile(P: Polytope, x) -> SectionProfile:
+def _sectionable(P: Polytope, x) -> Vector:
     x = as_vector(x)
     if is_zero_vector(x):
         raise ValueError("direction must be nonzero")
     if not P.is_full_dimensional:
         raise ValueError("section profile of a lower-dimensional body is "
                          "a distribution, not a function")
+    return x
+
+
+def section_at(P: Polytope, x, t) -> Fraction:
+    """s(t) = V_{n-1}(P cap H_{x,t}) / |x| at one point, without the profile.
+
+    sum over h > t of c (h - t)^{n-1-k}/(n-1-k)!, read off the height form;
+    at t = max height the heights h = t count too, which is the endpoint
+    rule of ``SectionProfile.section_value``; 0 outside the support.
+    """
+    x = _sectionable(P, x)
+    t = Fraction(t)
+    form = height_form(P, x)
+    top = max(h for h, _ in form)
+    if t > top or t < min(h for h, _ in form):
+        return ZERO
+    deg = P.n - 1
+    total = ZERO
+    for (h, k), c in form.items():
+        if h > t or h == top == t:
+            total += c * (h - t) ** (deg - k) / math.factorial(deg - k)
+    return total
+
+
+def section_profile(P: Polytope, x) -> SectionProfile:
+    x = _sectionable(P, x)
     breakpoints = tuple(sorted({vdot(x, v) for v in P.vertices}))
     if len(breakpoints) == 1:
         raise AssertionError("full-dimensional body with constant height")
@@ -121,8 +148,11 @@ def quadrature_against_profile(profile: SectionProfile, weight: WeightSpec,
     Gauss-Kronrod adaptive integration per polynomial piece, with the
     integrable endpoint singularity of |t|^p (p < 0) removed by the
     substitution u = t^{1+p} so the transformed integrand is bounded.
-    Returns (value, error_estimate); raises RuntimeError carrying the best
-    estimate when the requested tolerance cannot be certified.
+    Each piece is held to the relative tolerance tol alone: an absolute
+    bound of tol would let QUADPACK stop at its first estimate on pieces
+    whose integral is small.  Returns (value, error_estimate); raises
+    RuntimeError carrying the best estimate when the requested tolerance
+    cannot be certified.
     """
     from scipy import integrate as sci
 
@@ -154,16 +184,16 @@ def quadrature_against_profile(profile: SectionProfile, weight: WeightSpec,
             zeta_extra = _nonsingular_factor(weight, +1)
             val, err = sci.quad(
                 lambda u: s_val(u ** (1 / q)) * zeta_extra(u ** (1 / q)) / q,
-                0.0, hi ** q, epsabs=tol, epsrel=tol, limit=200)
+                0.0, hi ** q, epsabs=0.0, epsrel=tol, limit=200)
         elif singular and hi_f == 0:
             q = 1.0 + float(p)
             zeta_extra = _nonsingular_factor(weight, -1)
             val, err = sci.quad(
                 lambda u: s_val(-(u ** (1 / q))) * zeta_extra(-(u ** (1 / q))) / q,
-                0.0, (-lo) ** q, epsabs=tol, epsrel=tol, limit=200)
+                0.0, (-lo) ** q, epsabs=0.0, epsrel=tol, limit=200)
         else:
             val, err = sci.quad(lambda t: s_val(t) * float(weight.value(Fraction(t))),
-                                lo, hi, epsabs=tol, epsrel=tol, limit=200)
+                                lo, hi, epsabs=0.0, epsrel=tol, limit=200)
         total += val
         err_total += err
     if err_total > max(tol, tol * abs(total)) * 50:

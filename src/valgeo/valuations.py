@@ -39,7 +39,7 @@ from .geometry.polytope import (
     Polytope, cone_hull, convex_hull, volume, zero_vector,
 )
 from .slicing.moments import measure_transform, moment_transform
-from .slicing.profile import section_profile
+from .slicing.profile import section_at
 from .slicing.weights import (
     MeasureSpec, WeightSpec, abs_power, log_abs,
     measure_from_dict, weight_from_dict,
@@ -112,10 +112,10 @@ def l0_polar_moment_gauge(P: Polytope, x) -> float:
 def intersection_body_gauge_inv(P: Polytope, x) -> Fraction:
     """1/gauge of the intersection body: (1/|x|) V_{n-1}(P cap H_{x,0}).
 
-    The |x| normalization cancels inside the exact section profile, so the
+    The |x| normalization cancels inside the exact point section, so the
     value is an exact rational.
     """
-    return section_profile(P, x).section_value(0)
+    return section_at(P, x, 0)
 
 
 def difference_body_support(P: Polytope, x, p) -> float:

@@ -258,11 +258,32 @@ def test_json_format(t3_file):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy serves only the Monte-Carlo oracle; loading it costs memory and
-    # start-up time on every command
+    # numpy serves only the Monte-Carlo oracle and mpmath only the float
+    # path; loading them costs memory and start-up time on every command
     import subprocess
     import sys
-    probe = "import sys, valgeo.cli; print('numpy' in sys.modules)"
+    probe = "import sys, valgeo.cli; print('numpy' in sys.modules, 'mpmath' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
+
+
+@pytest.mark.parametrize("vertices, x", [
+    ([["-17/2", "5", "39/2"], ["23/2", "4", "-23/2"], ["13/2", "3", "-9/2"],
+      ["-13/2", "1", "19/2"], ["-7/2", "1", "11/2"], ["13/2", "2", "-15/2"]],
+     [2, 3, 2]),
+    ([["-7", "-8", "-3"], ["-1", "-5", "1"], ["16", "4", "6"], ["3", "-5", "1"],
+      ["3", "-2", "1"], ["2", "-5", "0"]],
+     [3, -3, 1]),
+])
+def test_exp_error_column_meets_relative_tolerance(tmp_path, vertices, x):
+    # values 0.00242 and 0.0114: an absolute quadrature bound of 1e-9 let
+    # QUADPACK stop at its first estimate, leaving error columns of 6.7e-11
+    # and 1.8e-10, above 1e-8 of the value
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps({"n": 3, "vertices": vertices}))
+    code, out = run_cli(["moment", "--input", str(path), '--weight={"kind":"exp_neg"}',
+                         "--grid=" + json.dumps({"directions": [x]})])
+    assert code == 0
+    value, error = (float(c) for c in out.splitlines()[1].split(",")[-2:])
+    assert error <= 1e-8 * value

@@ -295,3 +295,26 @@ def test_classify_faces_function():
     minus, plus = classify_faces(standard_simplex(2))
     assert {f.vertex_ids for f in minus} == {(0,), (0, 1), (0, 2), (0, 1, 2)}
     assert len(plus) == 7
+
+
+def test_body_and_caches_freed_without_the_cycle_collector():
+    # the lattice points back to its body weakly and the triangulation
+    # recursion is no closure, so dropping the last reference to a body
+    # frees it and its lattice, triangulation and height forms at once
+    import gc
+    import weakref
+    from valgeo.slicing import moment_transform, section_at
+    from valgeo.slicing import weights as W
+    P = convex_hull([(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 1), (1, 1, 1)])
+    x = (Fraction(1), Fraction(-2), Fraction(1))
+    moment_transform(P, x, W.power(2))
+    section_at(P, x, 0)
+    lattice = P.face_lattice()
+    body = weakref.ref(P)
+    gc.disable()
+    try:
+        del P
+        assert body() is None
+        assert lattice.f_vector() == (5, 9, 6, 1)
+    finally:
+        gc.enable()

@@ -8,7 +8,7 @@ import pytest
 from valgeo.geometry import (
     convex_hull, cube, cut, standard_simplex, volume, volume_full,
 )
-from valgeo.slicing import section_profile
+from valgeo.slicing import section_at, section_profile
 from valgeo.slicing import weights as W
 from valgeo.slicing.poly import peval, pintegral
 
@@ -149,3 +149,28 @@ def test_profile_integrates_to_cut_volumes(P, x):
     bps = prof.breakpoints
     for t in bps + tuple((a + b) / 2 for a, b in zip(bps, bps[1:])):
         assert _mass_below(prof, t) == volume_full(cut(P, x, t)[0])
+
+
+@pytest.mark.parametrize("P, x", list(_profile_bodies()) + [
+    pytest.param(cube(3), (-1, 0, 0), id="cube3-negative-axis"),
+    pytest.param(standard_simplex(3), (1, 1, 0), id="simplex3-edge-on-top"),
+])
+def test_section_at_matches_profile(P, x):
+    # every breakpoint, both endpoints (a facet on top along the cube axes),
+    # piece midpoints, and heights outside the support
+    prof = section_profile(P, x)
+    bps = prof.breakpoints
+    points = bps + tuple((a + b) / 2 for a, b in zip(bps, bps[1:])) + \
+        (bps[0] - 1, bps[-1] + Fraction(1, 3))
+    for t in points:
+        assert section_at(P, x, t) == prof.section_value(t), t
+
+
+def test_section_at_raises_profile_errors():
+    seg = convex_hull([(0, 0), (1, 1)])
+    for P, x in ((seg, (1, 0)), (standard_simplex(2), (0, 0))):
+        with pytest.raises(ValueError) as profile_error:
+            section_profile(P, x)
+        with pytest.raises(ValueError) as point_error:
+            section_at(P, x, 0)
+        assert str(point_error.value) == str(profile_error.value)
